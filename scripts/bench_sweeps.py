@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the parallel sweep engine: serial vs. process-pool wall clock.
+"""Benchmark the parallel sweep engine: in-process vs. process-pool wall clock.
 
 Runs canned Monte-Carlo workloads (fig6, fig9, fastsim SINR grid) once with
-``workers=1`` and once with ``--workers N``, verifies the two runs produce
-bit-identical aggregates (SHA-256 over the canonical JSON of the results),
-and appends a machine-readable record to ``BENCH_sweeps.json``:
+``workers=1`` (in-process) and once with ``--workers N`` (process pool),
+verifies the two runs produce bit-identical aggregates (SHA-256 over the
+canonical JSON of the results), and appends a machine-readable record to
+``BENCH_sweeps.json``:
 
     {"schema": 1, "runs": [{"ts": ..., "cpu_count": ..., "workloads": [...]}]}
 
@@ -14,29 +15,17 @@ metrics are ``bench.<workload>.{serial_s,parallel_s,speedup}`` — which is
 what ``python -m repro obs bench trend`` tabulates.  ``--no-ledger``
 skips that.
 
-Every workload with a registered batched kernel twin is additionally run
-through the in-parent ``batched`` backend; its timing, digest (checked
-equal to serial) and overhead breakdown land in the same record as
-``batched_s`` / ``batched_speedup`` / ``batched_overhead``.
-
     python scripts/bench_sweeps.py                    # full workloads
     python scripts/bench_sweeps.py --quick --workers 4
     python scripts/bench_sweeps.py --quick --check-speedup --min-speedup 1.5
-    python scripts/bench_sweeps.py --quick --skip-parallel --repeats 2 \
-        --workloads fastsim_grid --check-batched-speedup
 
 ``--check-speedup`` exits non-zero when the fig9 parallel speedup falls
 below ``--min-speedup`` — but only on machines with at least 2 usable
 cores; on a single-core box it records the timings and warns instead,
 because a real speedup is physically impossible there (CI enforces the
-floor on multi-core runners).
-
-``--check-batched-speedup`` exits non-zero when the fastsim SINR-grid
-*batched* speedup falls below ``--min-batched-speedup`` (default 5).  The
-batched backend runs in-process, so this gate is cores-independent and is
-enforced everywhere, single-core CI included.  ``--repeats N`` times each
-leg N times and keeps the fastest (de-noises the gate); ``--skip-parallel``
-drops the process-pool leg entirely (pointless on one core).
+floor on multi-core runners).  ``--repeats N`` times each leg N times and
+keeps the fastest (de-noises the gate); ``--skip-parallel`` drops the
+process-pool leg entirely (pointless on one core).
 """
 
 from __future__ import annotations
@@ -83,9 +72,8 @@ def workload_fig6(quick: bool):
 
     n_channels = 24 if quick else 100
 
-    def run(workers: int, backend: str | None = None):
-        r = run_fig6(seed=1, n_channels=n_channels, workers=workers,
-                     backend=backend)
+    def run(workers: int):
+        r = run_fig6(seed=1, n_channels=n_channels, workers=workers)
         return {str(snr): list(curve) for snr, curve in r.reduction_db.items()}
 
     return run, {"n_channels": n_channels}
@@ -97,9 +85,9 @@ def workload_fig9(quick: bool):
     n_aps = (2, 4, 6) if quick else (2, 4, 6, 8, 10)
     n_topologies = 4 if quick else 10
 
-    def run(workers: int, backend: str | None = None):
+    def run(workers: int):
         r = run_fig9(seed=4, n_aps=n_aps, n_topologies=n_topologies,
-                     workers=workers, backend=backend)
+                     workers=workers)
         return {
             f"{band}/{n}": {
                 "megamimo_bps": list(cell.megamimo_bps),
@@ -118,9 +106,9 @@ def workload_fastsim_grid(quick: bool):
     sizes = (2, 4) if quick else (2, 4, 8)
     n_trials = 48 if quick else 64
 
-    def run(workers: int, backend: str | None = None):
+    def run(workers: int):
         return run_sinr_grid(seed=12, sizes=sizes, n_trials=n_trials,
-                             workers=workers, backend=backend)
+                             workers=workers)
 
     return run, {"sizes": list(sizes), "n_trials": n_trials}
 
@@ -130,18 +118,6 @@ WORKLOADS = {
     "fig9": workload_fig9,
     "fastsim_grid": workload_fastsim_grid,
 }
-
-
-def _workload_kernel(name: str):
-    """The scalar sweep kernel behind a workload (for batched-twin lookup)."""
-    from repro.sim.experiments import fig6_kernel, fig9_kernel
-    from repro.sim.fastsim import sinr_grid_kernel
-
-    return {
-        "fig6": fig6_kernel,
-        "fig9": fig9_kernel,
-        "fastsim_grid": sinr_grid_kernel,
-    }.get(name)
 
 
 def summarize_overheads(overheads: list) -> dict | None:
@@ -200,8 +176,6 @@ def _require_equal(name: str, what: str, serial_digest: str, other: str) -> None
 
 def bench_workload(name: str, quick: bool, workers: int, repeats: int = 1,
                    skip_parallel: bool = False) -> dict:
-    from repro.runtime import batched_kernel_for
-
     run, params = WORKLOADS[name](quick)
     serial, serial_s, serial_overhead = _timed(lambda: run(1), repeats)
     serial_digest = digest(serial)
@@ -215,9 +189,8 @@ def bench_workload(name: str, quick: bool, workers: int, repeats: int = 1,
         "parallel_s": None,
         "speedup": None,
         "result_sha256": serial_digest,
-        # the parallel/batched breakdowns are what explain the speedup
-        # numbers; the serial one is the compute-only baseline they are
-        # judged against
+        # the parallel breakdown is what explains the speedup number; the
+        # serial one is the compute-only baseline it is judged against
         "overhead": None,
         "serial_overhead": serial_overhead,
     }
@@ -232,18 +205,6 @@ def bench_workload(name: str, quick: bool, workers: int, repeats: int = 1,
             round(serial_s / parallel_s, 3) if parallel_s > 0 else None
         )
         entry["overhead"] = parallel_overhead
-
-    kernel = _workload_kernel(name)
-    if kernel is not None and batched_kernel_for(kernel) is not None:
-        batched, batched_s, batched_overhead = _timed(
-            lambda: run(1, backend="batched"), repeats
-        )
-        _require_equal(name, "batched", serial_digest, digest(batched))
-        entry["batched_s"] = round(batched_s, 4)
-        entry["batched_speedup"] = (
-            round(serial_s / batched_s, 3) if batched_s > 0 else None
-        )
-        entry["batched_overhead"] = batched_overhead
     return entry
 
 
@@ -263,18 +224,6 @@ def ledger_metrics(record: dict) -> dict:
             out[f"bench.{name}.dispatch_frac"] = overhead["dispatch_frac"]
             out[f"bench.{name}.serialization_frac"] = (
                 overhead["serialization_frac"]
-            )
-        if entry.get("batched_s") is not None:
-            out[f"bench.{name}.batched_s"] = entry["batched_s"]
-        if entry.get("batched_speedup") is not None:
-            out[f"bench.{name}.batched_speedup"] = entry["batched_speedup"]
-        batched_overhead = entry.get("batched_overhead")
-        if batched_overhead:
-            out[f"bench.{name}.batched_utilization"] = (
-                batched_overhead["utilization"]
-            )
-            out[f"bench.{name}.batched_dispatch_frac"] = (
-                batched_overhead["dispatch_frac"]
             )
     return out
 
@@ -343,7 +292,7 @@ def main(argv=None) -> int:
                         help=f"results file (default {DEFAULT_OUTPUT.name})")
     parser.add_argument("--repeats", type=int, default=1,
                         help="time each leg N times, keep the fastest "
-                             "(default 1; the CI gate uses 2)")
+                             "(default 1; the CI bench job uses 2)")
     parser.add_argument("--skip-parallel", action="store_true",
                         help="skip the process-pool leg (e.g. on single-core "
                              "machines where it cannot win)")
@@ -351,10 +300,6 @@ def main(argv=None) -> int:
                         help="fail if the fig9 speedup is below --min-speedup "
                              "(skipped on single-core machines)")
     parser.add_argument("--min-speedup", type=float, default=1.5)
-    parser.add_argument("--check-batched-speedup", action="store_true",
-                        help="fail if the fastsim_grid batched speedup is "
-                             "below --min-batched-speedup (cores-independent)")
-    parser.add_argument("--min-batched-speedup", type=float, default=5.0)
     parser.add_argument("--ledger", metavar="DIR", default=None,
                         help="runs directory for the ledger record "
                              "(default: $REPRO_RUNS_DIR or ./runs)")
@@ -385,18 +330,10 @@ def main(argv=None) -> int:
         if entry["parallel_s"] is not None:
             line += (f"  parallel {entry['parallel_s']:.2f}s  "
                      f"speedup {entry['speedup']}x")
-        if entry.get("batched_s") is not None:
-            line += (f"  batched {entry['batched_s']:.2f}s  "
-                     f"batched speedup {entry['batched_speedup']}x")
         print(line + "  (results identical)")
         if entry["overhead"]:
             o = entry["overhead"]
             print(f"  parallel breakdown: utilization {o['utilization']:.0%}  "
-                  f"dispatch {o['dispatch_frac']:.1%}  "
-                  f"serialization {o['serialization_frac']:.1%}")
-        if entry.get("batched_overhead"):
-            o = entry["batched_overhead"]
-            print(f"  batched breakdown: utilization {o['utilization']:.0%}  "
                   f"dispatch {o['dispatch_frac']:.1%}  "
                   f"serialization {o['serialization_frac']:.1%}")
 
@@ -425,21 +362,6 @@ def main(argv=None) -> int:
             print(f"--check-speedup: fig9 speedup {fig9['speedup']}x >= "
                   f"{args.min_speedup}x")
 
-    if args.check_batched_speedup:
-        grid = next((w for w in record["workloads"]
-                     if w["workload"] == "fastsim_grid"), None)
-        if grid is None:
-            print("--check-batched-speedup: fastsim_grid workload not run",
-                  file=sys.stderr)
-            return 2
-        batched = grid.get("batched_speedup")
-        if batched is None or batched < args.min_batched_speedup:
-            print(f"--check-batched-speedup: fastsim_grid batched speedup "
-                  f"{batched}x is below the {args.min_batched_speedup}x floor",
-                  file=sys.stderr)
-            return 1
-        print(f"--check-batched-speedup: fastsim_grid batched speedup "
-              f"{batched}x >= {args.min_batched_speedup}x")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Determinism rules: hidden entropy and RNG-discipline violations.
 
 The sweep engine's bit-identical-results guarantee (``docs/parallelism.md``)
-holds only while every kernel is a pure function of ``(params, seed)``.
+holds only while every kernel is a pure function of ``(params, seeds)``.
 These rules statically reject the ways that purity has historically been
 broken: legacy global-state numpy RNG calls, unseeded generators constructed
 outside the blessed seeding modules, stdlib ``random``/wall-clock reads

@@ -69,7 +69,7 @@ class ChannelModel:
         constant number of generator calls.  The stream consumption differs
         from per-link ``realize`` calls by construction; every consumer of a
         given sweep kernel must pick one of the two APIs and stick to it
-        (the batched sweep path uses this one exclusively).
+        (the sweep kernels use this one exclusively).
         """
         raise NotImplementedError
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import get_logger, metrics, setup_logging, trace
-from repro.runtime import BACKENDS
 
 logger = get_logger(__name__)
 
@@ -136,12 +135,6 @@ def _add_runtime_options(p: argparse.ArgumentParser) -> None:
         "--workers", type=int, default=1, metavar="N",
         help="worker processes for Monte-Carlo sweeps (default 1 = serial; "
              "results are bit-identical for any N)",
-    )
-    group.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="sweep execution backend (default: process pool when "
-             "--workers > 1, else serial; 'auto' picks the batched kernel "
-             "when one is registered — see docs/parallelism.md)",
     )
     group.add_argument(
         "--checkpoint", metavar="FILE", default=None,
@@ -359,30 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _runtime_kwargs(args, supported: bool, what: str) -> dict:
-    """Translate --workers/--backend/--checkpoint/--resume into runner kwargs.
+    """Translate --workers/--checkpoint/--resume into runner kwargs.
 
     Serial-only targets (``supported=False``) get an empty dict plus a
-    warning, so the flags never silently change semantics.  ``--backend``
-    is only forwarded when given, keeping config hashes of existing
-    invocations stable.
+    warning, so the flags never silently change semantics.
     """
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint")
     if not supported:
-        if args.workers != 1 or args.checkpoint or args.backend:
+        if args.workers != 1 or args.checkpoint:
             logger.warning(
-                "%s runs serially; ignoring --workers/--backend/"
-                "--checkpoint/--resume", what
+                "%s runs serially; ignoring --workers/--checkpoint/--resume", what
             )
         return {}
-    kwargs = {
+    return {
         "workers": args.workers,
         "checkpoint": args.checkpoint,
         "resume": args.resume,
     }
-    if args.backend is not None:
-        kwargs["backend"] = args.backend
-    return kwargs
 
 
 #: Per-figure default RNG seeds (kept stable across releases so ledger
@@ -859,8 +846,8 @@ def _dispatch(args, ctx: RunContext) -> int:
         logger.error("delete the file or rerun without --resume to start fresh")
         return 1
     except SweepError as exc:
-        # e.g. --backend batched on a sweep without a registered batched
-        # twin, or trials lost to a stall the retry path could not cover
+        # e.g. a kernel returning the wrong number of results, or trials
+        # lost to a stall the retry path could not cover
         from repro.obs import blackbox
 
         blackbox.write_crash_bundle(

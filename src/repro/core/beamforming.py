@@ -106,35 +106,20 @@ def zero_forcing_precoder_wideband(
     require(channels.ndim >= 3, "need (..., n_bins, n_clients, n_antennas)")
     n_clients, n_antennas = channels.shape[-2], channels.shape[-1]
     require(n_antennas >= n_clients, "need at least as many antennas as clients")
-    if channels.ndim == 3:
-        # Reference path: one matrix inversion per subcarrier, kept loopy so
-        # it stays trivially auditable against §4's per-subcarrier math.
-        n_bins = channels.shape[0]
-        inverses = np.empty((n_bins, n_antennas, n_clients), dtype=complex)
-        for b in range(n_bins):
-            if n_antennas == n_clients:
-                inverses[b] = np.linalg.inv(channels[b])
-            else:
-                inverses[b] = np.linalg.pinv(channels[b])
-                _check_right_inverse(channels[b], inverses[b])
+    # One stacked inv/pinv over every bin (of every tensor in the stack);
+    # stacked np.linalg results are bit-identical to per-matrix calls.
+    if n_antennas == n_clients:
+        inverses = np.linalg.inv(channels)
     else:
-        # Batched path: stacked inv/pinv over all bins of all trials at once.
-        # Stacked np.linalg results are bit-identical to the per-matrix loop
-        # above (pinned by tests/runtime/test_backend_equivalence.py).
-        if n_antennas == n_clients:
-            inverses = np.linalg.inv(channels)
-        else:
-            inverses = np.linalg.pinv(channels)
-            _check_right_inverse(channels, inverses)
+        inverses = np.linalg.pinv(channels)
+        _check_right_inverse(channels, inverses)
     # per-antenna power averaged over subcarriers, for unit-power streams
     per_antenna = np.mean(np.sum(np.abs(inverses) ** 2, axis=-1), axis=-2)
     worst = np.max(per_antenna, axis=-1)
     require(bool(np.all(worst > 0)), "degenerate channel")
     k = np.sqrt(max_power_per_antenna / worst)
-    if channels.ndim == 3:
-        k = float(k)
-        return k * inverses, k
-    return k[..., None, None, None] * inverses, k
+    precoders = np.asarray(k)[..., None, None, None] * inverses
+    return precoders, (float(k) if np.ndim(k) == 0 else k)
 
 
 def diversity_precoder(channel_row: np.ndarray, max_power_per_antenna: float = 1.0) -> np.ndarray:

@@ -3,10 +3,9 @@
 Public surface:
 
 * :func:`run_sweep` / :class:`CellSpec` / :class:`SweepResult` — the
-  backend-selecting sweep engine (:mod:`repro.runtime.engine`).
-* :data:`BACKENDS` / :func:`resolve_backend` /
-  :func:`register_batched_kernel` / :func:`batched_kernel_for` — the
-  execution-backend layer (serial / thread / process / batched / auto).
+  sweep engine (:mod:`repro.runtime.engine`): every kernel takes a chunk's
+  seed batch, ``(params, seeds) -> [result per seed]``, and chunks run
+  in-process (``workers == 1``) or on a process pool (``workers > 1``).
 * :func:`seed_sequence` / :func:`task_rng` / :func:`spawn_key` — per-task
   seed derivation (:mod:`repro.runtime.seeding`).
 * Checkpoint plumbing (:mod:`repro.runtime.checkpoint`).
@@ -15,8 +14,8 @@ Public surface:
   (:mod:`repro.runtime.watchdog`); env-gated fault injection for
   exercising it lives in :mod:`repro.runtime.faults`.
 
-See ``docs/parallelism.md`` for the determinism guarantees, the backend
-decision table and the checkpoint file format.
+See ``docs/parallelism.md`` for the determinism guarantees, the
+in-process/pool choice and the checkpoint file format.
 """
 
 from repro.runtime.checkpoint import (
@@ -26,23 +25,16 @@ from repro.runtime.checkpoint import (
     sweep_header,
 )
 from repro.runtime.engine import (
-    BACKENDS,
-    BATCHED_CHUNK_SIZE,
     DEFAULT_CHUNK_SIZE,
     MEMORY_ENV_FLAG,
-    POOL_MIN_TRIALS,
     WORKER_ENV_FLAG,
     CellSpec,
     SweepError,
     SweepResult,
     assemble_results,
-    batched_kernel_for,
     drain_overheads,
     iter_chunks,
-    register_batched_kernel,
-    resolve_backend,
     run_chunk,
-    run_chunk_batched,
     run_chunk_instrumented,
     run_sweep,
 )
@@ -56,8 +48,6 @@ from repro.runtime.watchdog import (
 )
 
 __all__ = [
-    "BACKENDS",
-    "BATCHED_CHUNK_SIZE",
     "CHECKPOINT_VERSION",
     "CheckpointMismatch",
     "CellSpec",
@@ -66,7 +56,6 @@ __all__ = [
     "HANG_CHUNK_ENV",
     "HangCancelled",
     "MEMORY_ENV_FLAG",
-    "POOL_MIN_TRIALS",
     "SweepError",
     "SweepResult",
     "TIMEOUT_ENV",
@@ -74,14 +63,10 @@ __all__ = [
     "WORKER_ENV_FLAG",
     "watchdog_enabled",
     "assemble_results",
-    "batched_kernel_for",
     "drain_overheads",
     "iter_chunks",
     "load_completed",
-    "register_batched_kernel",
-    "resolve_backend",
     "run_chunk",
-    "run_chunk_batched",
     "run_chunk_instrumented",
     "run_sweep",
     "seed_sequence",

@@ -1,31 +1,35 @@
-"""Deterministic process-pool sweep engine.
+"""Deterministic sweep engine: one chunk runner, in-process or on a pool.
 
 Every figure reproduction and ablation is an embarrassingly parallel Monte
 Carlo sweep: a grid of *cells* (one per parameter combination), each
 running ``n_trials`` independent draws of a pure kernel function
 
-    kernel(params, seed) -> result
+    kernel(params, seeds) -> [result per seed]
 
-where ``seed`` is a ``numpy.random.SeedSequence`` derived from
+where each seed is a ``numpy.random.SeedSequence`` derived from
 ``(master_seed, sweep_name, cell_index, trial_index)`` — see
-:mod:`repro.runtime.seeding`.  Because the stream is keyed on the task
-coordinate and not on scheduling, the aggregated output is bit-identical
-across ``workers=1``, any pool size, any chunking, and checkpoint/resume.
+:mod:`repro.runtime.seeding`.  A kernel receives the seeds of one chunk
+and returns one result per seed, so it can stack the chunk's trials into
+one array pass.  Because each stream is keyed on the task coordinate and
+not on scheduling, the aggregated output is bit-identical across
+``workers=1``, any pool size, any chunking, and checkpoint/resume.
 
 Execution model:
 
-* trials are sharded into ``(cell, trial-chunk)`` work items;
-* ``workers > 1`` dispatches chunks to a ``ProcessPoolExecutor`` (stdlib
-  only, ``fork`` or ``spawn`` both fine: kernels are importable top-level
-  functions and params are picklable);
+* trials are sharded into ``(cell, trial-chunk)`` work items, and every
+  work item runs through :func:`run_chunk_instrumented`;
+* ``workers == 1`` runs the chunks in-process and never touches
+  multiprocessing; ``workers > 1`` dispatches them to a
+  ``ProcessPoolExecutor`` (stdlib only, ``fork`` or ``spawn`` both fine:
+  kernels are importable top-level functions and params are picklable);
 * results are normalized through :func:`repro.obs.events.jsonable` and
   re-ordered by ``(cell, trial)`` before aggregation, so completion order
   cannot leak into the output;
-* a chunk whose future fails — the kernel raised, or the worker died and
-  the pool broke — is retried *serially in the parent process*, recorded
-  through ``repro.obs`` (``runtime.chunk_failures`` /
-  ``runtime.serial_retries`` counters and a trace event);
-* ``workers=1`` never touches multiprocessing at all;
+* a chunk that fails — the kernel raised, the worker died and the pool
+  broke, or the watchdog declared a stall — is retried *serially in the
+  parent process*, recorded through ``repro.obs``
+  (``runtime.chunk_failures`` / ``runtime.serial_retries`` counters and a
+  trace event);
 * an optional JSONL checkpoint persists each completed chunk, and
   ``resume=True`` skips chunks already on disk (header-validated);
 * every chunk completion feeds a :class:`repro.obs.progress.SweepProgress`
@@ -52,16 +56,10 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
+import signal
 import time
 import tracemalloc
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,28 +78,11 @@ from repro.utils.validation import require
 
 logger = get_logger(__name__)
 
-#: Default trials per work item; small enough to load-balance, large enough
-#: to amortize task dispatch.
-DEFAULT_CHUNK_SIZE = 4
-
-#: Trials per work item on the batched backend.  Much larger than
-#: DEFAULT_CHUNK_SIZE on purpose: a batched chunk is one stacked-ndarray
-#: kernel call, so the python/dispatch cost is per *chunk* rather than per
-#: trial and bigger chunks amortize it further (load balancing is moot —
-#: batched chunks run in-parent).
-BATCHED_CHUNK_SIZE = 32
-
-#: The selectable execution backends (see :func:`resolve_backend`).
-BACKENDS = ("auto", "serial", "thread", "process", "batched")
-
-#: ``auto``: minimum total pending trials before a process pool can beat
-#: serial.  Calibrated from the PR-6 overhead envelopes in
-#: ``BENCH_sweeps.json``: pool dispatch + result serialization cost
-#: ~10-15 ms per chunk against per-trial compute of ~1-3 ms, so small
-#: sweeps lose outright (recorded speedups 0.71-0.96x) and only grids in
-#: the many-hundreds of trials can amortize the envelope even with real
-#: cores available.
-POOL_MIN_TRIALS = 512
+#: Trials per work item.  A chunk is one batched kernel call, so python and
+#: dispatch costs are paid per chunk while the kernel's stacked arrays grow
+#: with it; 16 keeps peak memory near the one-trial-per-call level and
+#: leaves a 512-trial cell 32 chunks to spread over the pool.
+DEFAULT_CHUNK_SIZE = 16
 
 #: Environment marker set in pool workers (via the pool initializer), so
 #: kernels and tests can tell worker context from the parent process.
@@ -153,80 +134,9 @@ class SweepError(RuntimeError):
     """A sweep could not produce a complete, consistent result."""
 
 
-#: A batched kernel: ``(params, seeds) -> [result, ...]`` — one result per
-#: seed, in order, each bit-identical (or documented-tolerance-identical)
-#: to ``kernel(params, seed)`` on the matching seed.
-BatchedKernel = Callable[[Any, Sequence[Any]], Sequence[Any]]
-
-_BATCHED_KERNELS: Dict[Callable[[Any, Any], Any], BatchedKernel] = {}
-
-
-def register_batched_kernel(
-    kernel: Callable[[Any, Any], Any], batched: BatchedKernel
-) -> None:
-    """Register ``batched`` as the vectorized twin of scalar ``kernel``.
-
-    The registry is keyed on the kernel function object; modules register
-    their batched twins at import time so :func:`run_sweep` can resolve
-    them for the ``batched``/``auto`` backends.  The contract — enforced by
-    ``tests/runtime/test_backend_equivalence.py`` — is that
-    ``batched(params, seeds)`` returns one result per seed, equal to the
-    scalar kernel's output for that seed.
-    """
-    _BATCHED_KERNELS[kernel] = batched
-
-
-def batched_kernel_for(
-    kernel: Callable[[Any, Any], Any],
-) -> Optional[BatchedKernel]:
-    """The registered batched twin of ``kernel``, or None."""
-    return _BATCHED_KERNELS.get(kernel)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
-def resolve_backend(
-    backend: Optional[str],
-    kernel: Callable[[Any, Any], Any],
-    workers: int,
-    total_trials: int,
-) -> str:
-    """Map a requested backend to the concrete execution mode of this run.
-
-    * ``None`` keeps the legacy semantics exactly: ``workers > 1`` means the
-      process pool, otherwise serial.
-    * ``"auto"`` prefers a registered batched twin (one core is enough for
-      its speedup); otherwise it picks the process pool only when there are
-      real cores *and* enough trials (``POOL_MIN_TRIALS``) to amortize the
-      PR-6 dispatch envelopes, falling back to serial.
-    * ``"batched"`` requires a registered twin and raises
-      :class:`SweepError` without one.
-    * ``"serial"``, ``"thread"`` and ``"process"`` are taken literally.
-    """
-    if backend is None:
-        return "process" if workers > 1 else "serial"
-    require(
-        backend in BACKENDS,
-        f"unknown backend {backend!r}; expected one of {BACKENDS}",
-    )
-    if backend == "auto":
-        if batched_kernel_for(kernel) is not None:
-            return "batched"
-        if workers > 1 and _usable_cpus() >= 2 and total_trials >= POOL_MIN_TRIALS:
-            return "process"
-        return "serial"
-    if backend == "batched" and batched_kernel_for(kernel) is None:
-        raise SweepError(
-            f"backend 'batched' requested but no batched implementation is "
-            f"registered for kernel {getattr(kernel, '__name__', kernel)!r} "
-            "(see register_batched_kernel)"
-        )
-    return backend
+#: A sweep kernel: ``(params, seeds) -> [result, ...]``, one result per
+#: seed, in order.
+Kernel = Callable[[Any, Sequence[Any]], Sequence[Any]]
 
 
 @dataclass(frozen=True)
@@ -289,7 +199,7 @@ def iter_chunks(n_trials: int, chunk_size: int) -> Iterator[Tuple[int, int, int]
 
 
 def run_chunk(
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     sweep: str,
     master_seed: int,
     params: Any,
@@ -299,41 +209,51 @@ def run_chunk(
 ) -> List[list]:
     """Run one chunk's trials; returns ``[[trial_index, result], ...]``.
 
-    This is the unit of work shipped to pool workers, and also the exact
-    code the serial path and the failure-retry path run — one
-    implementation, three call sites, so the equivalence tests compare
-    scheduling only.
+    The kernel gets every seed of the chunk in one call.  This is the exact
+    code the in-process path, the pool workers and the failure-retry path
+    run — one implementation, three call sites, so the equivalence tests
+    compare scheduling only.
 
     The env-gated hang fault (:func:`repro.runtime.faults
-    .maybe_hang_chunk`) sits before the trial loop: a cancelled hang
+    .maybe_hang_chunk`) sits before the kernel call: a cancelled hang
     raises before any trial runs, so a watchdog-killed chunk never
     produces a partial result.
     """
     faults.maybe_hang_chunk(cell_index, start, stop)
-    out: List[list] = []
-    for t in range(start, stop):
-        seed = seed_sequence(master_seed, sweep, cell_index, t)
-        out.append([t, jsonable(kernel(params, seed))])
-    return out
+    seeds = [
+        seed_sequence(master_seed, sweep, cell_index, t)
+        for t in range(start, stop)
+    ]
+    results = kernel(params, seeds)
+    if len(results) != len(seeds):
+        raise SweepError(
+            f"kernel returned {len(results)} results for {len(seeds)} seeds "
+            f"(cell {cell_index}, trials [{start}, {stop}))"
+        )
+    return [[t, jsonable(r)] for t, r in zip(range(start, stop), results)]
 
 
-def _instrument_chunk(
-    work: Callable[[], List[list]],
+def run_chunk_instrumented(
+    kernel: Kernel,
     sweep: str,
+    master_seed: int,
+    params: Any,
     cell_index: int,
     chunk_index: int,
-    trials: int,
-    measure_ser: bool,
+    start: int,
+    stop: int,
+    measure_ser: bool = True,
 ) -> Envelope:
-    """Run one chunk of work wrapped in dispatch-overhead accounting.
+    """Run one chunk (:func:`run_chunk`) wrapped in dispatch-overhead accounting.
 
     Records receive/done wall-clock timestamps (``time.time()``, comparable
-    across processes on one machine), wall/CPU compute time, the executing
-    thread id (so the thread backend can attribute per-thread), peak memory
+    across processes on one machine), wall/CPU compute time, peak memory
     when tracemalloc is live, and — when ``measure_ser`` — the cost of
     pickling the result payload, measured once here so the parent sees the
-    real transfer size.  Returns an *envelope* dict with the result under
-    ``"pairs"`` plus the accounting fields.
+    real transfer size.  ``measure_ser=False`` (in-process and retry paths,
+    where no pickling happens) skips that probe so in-process runs aren't
+    charged for work they don't do.  Returns an *envelope* dict with the
+    result under ``"pairs"`` plus the accounting fields.
     """
     recv_ts = time.time()
     sample_mem = tracemalloc.is_tracing()
@@ -342,14 +262,15 @@ def _instrument_chunk(
     timer = Timer().start()
     with trace.span(
         "runtime.chunk", sweep=sweep, cell=cell_index, chunk=chunk_index,
-        trials=trials,
+        trials=stop - start,
     ):
-        pairs = work()
+        pairs = run_chunk(
+            kernel, sweep, master_seed, params, cell_index, start, stop
+        )
     timer.stop()
     envelope: Envelope = {
         "pairs": pairs,
         "worker_pid": os.getpid(),
-        "worker_tid": threading.get_ident(),
         "recv_ts": recv_ts,
         "wall_s": timer.wall_s,
         "cpu_s": timer.cpu_s,
@@ -372,83 +293,6 @@ def _instrument_chunk(
     return envelope
 
 
-def run_chunk_instrumented(
-    kernel: Callable[[Any, Any], Any],
-    sweep: str,
-    master_seed: int,
-    params: Any,
-    cell_index: int,
-    chunk_index: int,
-    start: int,
-    stop: int,
-    measure_ser: bool = True,
-) -> Envelope:
-    """Run one scalar-kernel chunk wrapped in dispatch-overhead accounting.
-
-    The work is exactly :func:`run_chunk`; the accounting envelope is
-    described at :func:`_instrument_chunk`.  ``measure_ser=False`` (serial
-    and retry paths, where no pickling happens) skips the serialization
-    probe so in-process runs aren't charged for work they don't do.
-    """
-    return _instrument_chunk(
-        lambda: run_chunk(
-            kernel, sweep, master_seed, params, cell_index, start, stop
-        ),
-        sweep, cell_index, chunk_index, stop - start, measure_ser,
-    )
-
-
-def run_chunk_batched(
-    batched: BatchedKernel,
-    sweep: str,
-    master_seed: int,
-    params: Any,
-    cell_index: int,
-    start: int,
-    stop: int,
-) -> List[list]:
-    """Run one chunk through a batched kernel; ``[[trial, result], ...]``.
-
-    Seeds are derived per trial exactly as :func:`run_chunk` derives them —
-    the batched kernel receives the same ``SeedSequence`` list a serial
-    chunk would consume one-by-one, which is what makes batched results
-    comparable across backends.
-    """
-    faults.maybe_hang_chunk(cell_index, start, stop)
-    seeds = [
-        seed_sequence(master_seed, sweep, cell_index, t)
-        for t in range(start, stop)
-    ]
-    results = batched(params, seeds)
-    if len(results) != stop - start:
-        raise SweepError(
-            f"batched kernel returned {len(results)} results for "
-            f"{stop - start} seeds (cell {cell_index}, trials "
-            f"[{start}, {stop}))"
-        )
-    return [[t, jsonable(r)] for t, r in zip(range(start, stop), results)]
-
-
-def run_chunk_batched_instrumented(
-    batched: BatchedKernel,
-    sweep: str,
-    master_seed: int,
-    params: Any,
-    cell_index: int,
-    chunk_index: int,
-    start: int,
-    stop: int,
-) -> Envelope:
-    """Batched twin of :func:`run_chunk_instrumented` (always in-process,
-    so the serialization probe is skipped)."""
-    return _instrument_chunk(
-        lambda: run_chunk_batched(
-            batched, sweep, master_seed, params, cell_index, start, stop
-        ),
-        sweep, cell_index, chunk_index, stop - start, measure_ser=False,
-    )
-
-
 def _worker_init(trace_context: Optional[Dict[str, Any]] = None) -> None:
     """Pool-worker initializer: mark the process, re-home obs into a shard.
 
@@ -460,8 +304,15 @@ def _worker_init(trace_context: Optional[Dict[str, Any]] = None) -> None:
     pool drains).  Metrics incremented inside workers live in the worker's
     copy of the registry and are intentionally not merged — the engine
     accounts for work items in the parent via chunk envelopes.
+
+    A forked worker also inherits the parent's crash-bundle signal handlers
+    (:class:`repro.obs.blackbox.signal_guard`); the watchdog terminates
+    stalled workers on purpose, so workers get the default handlers back
+    and only the parent documents the run.
     """
     os.environ[WORKER_ENV_FLAG] = "1"
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     trace.detach()
     if trace_context is not None:
         trace.configure_shard(trace_context)
@@ -480,17 +331,11 @@ def _account_chunk(
 ) -> None:
     """Fold a completed chunk's envelope into metrics and a trace event.
 
-    Parent-side only.  ``mode`` is ``"pool"``, ``"thread"``, ``"batched"``,
-    ``"serial"`` or ``"retry"``; pool chunks are attributed per worker
-    process, thread chunks per thread, and everything that ran inline in
-    the parent's main thread to the synthetic worker ``"parent"``.
+    Parent-side only.  ``mode`` is ``"pool"``, ``"serial"`` or
+    ``"retry"``; pool chunks are attributed per worker process, and
+    everything that ran in the parent to the synthetic worker ``"parent"``.
     """
-    if mode == "pool":
-        worker = f"pid:{envelope['worker_pid']}"
-    elif mode == "thread":
-        worker = f"tid:{envelope.get('worker_tid', 0)}"
-    else:
-        worker = "parent"
+    worker = f"pid:{envelope['worker_pid']}" if mode == "pool" else "parent"
     recv_ts = float(envelope["recv_ts"])
     done_ts = float(envelope["done_ts"])
     rec: Dict[str, Any] = {
@@ -568,54 +413,44 @@ def assemble_results(
 
 def run_sweep(
     name: str,
-    kernel: Callable[[Any, Any], Any],
+    kernel: Kernel,
     cells: Sequence[CellSpec],
     master_seed: int,
     workers: int = 1,
     chunk_size: Optional[int] = None,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    backend: Optional[str] = None,
 ) -> SweepResult:
-    """Run a sweep grid on the selected execution backend.
+    """Run a sweep grid in-process (``workers == 1``) or on a process pool.
 
     Args:
         name: Sweep name; part of every task's seed-derivation key, and
             stamped into the checkpoint header.
-        kernel: Pure, picklable ``(params, seed) -> result`` function; the
-            result must be JSON-serializable (floats/lists/dicts — it is
-            normalized through ``jsonable`` either way, so numpy scalars
-            and arrays are folded to plain Python).
+        kernel: Pure, picklable ``(params, seeds) -> [result per seed]``
+            function; each result must be JSON-serializable
+            (floats/lists/dicts — it is normalized through ``jsonable``
+            either way, so numpy scalars and arrays are folded to plain
+            Python).
         cells: The sweep grid.
         master_seed: Root of all derived seeds.
-        workers: Pool/thread count for the process and thread backends;
-            ignored by serial and batched execution.
-        chunk_size: Trials per work item.  ``None`` picks the backend's
-            default (``BATCHED_CHUNK_SIZE`` for batched execution,
-            ``DEFAULT_CHUNK_SIZE`` otherwise) — note the chunk size is part
-            of the checkpoint header, so resuming a checkpoint under a
-            backend with a different default requires passing the original
-            chunk size explicitly.
+        workers: 1 runs every chunk in-process; more dispatches the chunks
+            to a pool of that many worker processes.
+        chunk_size: Trials per work item (one kernel call); ``None`` means
+            :data:`DEFAULT_CHUNK_SIZE`.  The chunk size is part of the
+            checkpoint header, so a resume must use the original one.
         checkpoint: Optional JSONL progress-file path.
         resume: Skip chunks already present in ``checkpoint``.
-        backend: One of :data:`BACKENDS`, or ``None`` for the legacy
-            mapping (``workers > 1`` -> process pool, else serial).  See
-            :func:`resolve_backend`.
 
     Returns:
         A :class:`SweepResult` whose ``results`` are bit-identical for any
-        ``workers``/chunking/resume/backend combination at the same master
-        seed (up to each kernel's documented batched tolerance).
+        ``workers``/chunking/resume combination at the same master seed.
     """
     cells = list(cells)
     require(workers >= 1, "workers must be >= 1")
-    total_trials = sum(cell.n_trials for cell in cells)
-    mode = resolve_backend(backend, kernel, workers, total_trials)
     if chunk_size is None:
-        chunk_size = BATCHED_CHUNK_SIZE if mode == "batched" else DEFAULT_CHUNK_SIZE
-    # serial and batched chunks run inline in the parent; only the pool and
-    # thread backends actually occupy `workers` execution lanes
-    effective_workers = workers if mode in ("process", "thread") else 1
+        chunk_size = DEFAULT_CHUNK_SIZE
+    mode = "pool" if workers > 1 else "serial"
+    total_trials = sum(cell.n_trials for cell in cells)
     header = sweep_header(name, master_seed, chunk_size, cells)
     completed, writer = open_checkpoint(checkpoint, resume, header)
     resumed = len(completed)
@@ -628,60 +463,34 @@ def run_sweep(
         for chunk_index, start, stop in iter_chunks(cell.n_trials, chunk_size)
     ]
     pending = [t for t in tasks if (t[0], t[1]) not in completed]
-    failures = 0
     progress = SweepProgress(
         name=name,
         total_chunks=len(tasks),
         total_trials=total_trials,
-        workers=effective_workers,
+        workers=workers,
         resumed_chunks=resumed,
         resumed_trials=sum(len(pairs) for pairs in completed.values()),
     )
-
-    def finish(task: Task, results: List[list]) -> None:
-        cell_index, chunk_index = task[0], task[1]
-        completed[(cell_index, chunk_index)] = results
-        _CHUNKS_RUN.inc()
-        if writer is not None:
-            writer.append_chunk(cell_index, chunk_index, results)
-        progress.chunk_done(task[3] - task[2])
-
-    acct: List[Dict[str, Any]] = []
     started_mem = False
     if os.environ.get(MEMORY_ENV_FLAG) == "1" and not tracemalloc.is_tracing():
         tracemalloc.start()
         started_mem = True
-    watchdog = ChunkWatchdog.create(name, mode, effective_workers) if pending else None
+    watchdog = ChunkWatchdog.create(name, mode, workers) if pending else None
+    run = _SweepRun(
+        name, kernel, cells, master_seed, completed, writer, progress, watchdog
+    )
     sweep_timer = Timer()
     with trace.span(
-        "runtime.sweep", sweep=name, workers=effective_workers,
-        chunks=len(tasks), resumed=resumed, backend=mode,
+        "runtime.sweep", sweep=name, workers=workers,
+        chunks=len(tasks), resumed=resumed, mode=mode,
     ) as span:
         sweep_timer.start()
         start_ts = time.time()
         try:
-            if not pending:
-                pass
-            elif mode == "serial":
-                failures = _run_serial(
-                    name, kernel, cells, master_seed, pending, finish,
-                    progress, acct, watchdog,
-                )
-            elif mode == "batched":
-                failures = _run_batched(
-                    name, kernel, cells, master_seed, pending, finish,
-                    progress, acct, watchdog,
-                )
-            elif mode == "thread":
-                failures = _run_threads(
-                    name, kernel, cells, master_seed, workers, pending, finish,
-                    progress, acct, watchdog,
-                )
-            else:
-                failures = _run_pool(
-                    name, kernel, cells, master_seed, workers, pending, finish,
-                    progress, acct, watchdog,
-                )
+            if pending and workers > 1:
+                run.on_pool(pending, workers)
+            elif pending:
+                run.in_process(pending)
         finally:
             if watchdog is not None:
                 watchdog.stop()
@@ -693,20 +502,20 @@ def run_sweep(
         sweep_timer.stop()
         stalls = watchdog.stall_count if watchdog is not None else 0
         overhead: Optional[Dict[str, Any]] = None
-        if acct:
+        if run.acct:
             overhead = attribute_chunks(
-                acct, sweep_timer.wall_s, effective_workers, start_ts, sweep=name
+                run.acct, sweep_timer.wall_s, workers, start_ts, sweep=name
             ).to_dict()
             _SWEEP_OVERHEADS.append(overhead)
             span.record(
-                chunk_failures=failures,
+                chunk_failures=run.failures,
                 watchdog_stalls=stalls,
                 utilization=overhead["utilization"],
                 dispatch_frac=overhead["dispatch_frac"],
                 serialization_frac=overhead["serialization_frac"],
             )
         else:
-            span.record(chunk_failures=failures, watchdog_stalls=stalls)
+            span.record(chunk_failures=run.failures, watchdog_stalls=stalls)
 
     results = assemble_results(cells, completed)
     return SweepResult(
@@ -714,283 +523,11 @@ def run_sweep(
         master_seed=int(master_seed),
         cells=cells,
         results=results,
-        chunk_failures=failures,
+        chunk_failures=run.failures,
         resumed_chunks=resumed,
         watchdog_stalls=stalls,
         overhead=overhead,
     )
-
-
-def _retry_serially(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    task: Task,
-    error: BaseException,
-    where: str,
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress],
-    acct_list: List[Dict[str, Any]],
-    watchdog: Optional[ChunkWatchdog],
-) -> None:
-    """Account one failed chunk and re-run it serially in the parent.
-
-    The single fault-tolerance funnel every backend shares: batched
-    numerical edge cases, in-thread kernel errors, dead pool workers and
-    watchdog-abandoned stalls all land here, so a failed chunk costs its
-    speedup rather than the sweep.  ``where`` is prose for the log line
-    ("in a thread", "after a watchdog stall", ...).
-    """
-    cell_index, chunk_index, start, stop = task
-    _CHUNK_FAILURES.inc()
-    if progress is not None:
-        progress.chunk_failed()
-    logger.warning(
-        "chunk (cell=%d, chunk=%d) of sweep %r failed %s (%s: %s); "
-        "retrying serially in-parent",
-        cell_index, chunk_index, name, where, type(error).__name__, error,
-    )
-    trace.event(
-        "runtime.chunk_failure", sweep=name, cell=cell_index,
-        chunk=chunk_index, error=type(error).__name__,
-    )
-    retry_ts = time.time()
-    envelope = run_chunk_instrumented(
-        kernel, name, master_seed, cells[cell_index].params,
-        cell_index, chunk_index, start, stop, measure_ser=False,
-    )
-    _SERIAL_RETRIES.inc()
-    if progress is not None:
-        progress.retry_done()
-    _account_chunk(acct_list, name, task, "retry", retry_ts, envelope)
-    finish(task, envelope["pairs"])
-    if watchdog is not None:
-        watchdog.completed(task, float(envelope["wall_s"]))
-
-
-def _drain_stalled(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    remaining: Dict["Future[Envelope]", Tuple[Task, float, Tuple[int, float]]],
-    mode: str,
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress],
-    acct_list: List[Dict[str, Any]],
-    watchdog: Optional[ChunkWatchdog],
-) -> int:
-    """Recover the futures a stalled backend abandoned; returns retries.
-
-    Futures that did complete before (or while) the stall was declared
-    are salvaged through the normal accounting path — their results are
-    bit-identical to a retry's, but salvaging keeps their envelopes
-    honest.  Everything else is cancelled and re-run serially through
-    :func:`_retry_serially`; the watchdog has already released
-    cooperative fault hangs, so retries of the stalled chunks run clean.
-    """
-    if watchdog is not None:
-        watchdog.abandon_all()
-    failures = 0
-    for future, (task, submit_ts, ser_cost) in sorted(
-        remaining.items(), key=lambda item: item[1][0]
-    ):
-        salvage_error: Optional[BaseException] = None
-        if future.done():
-            try:
-                envelope = future.result()
-                _account_chunk(
-                    acct_list, name, task, mode, submit_ts, envelope, ser_cost
-                )
-                finish(task, envelope["pairs"])
-                continue
-            except Exception as exc:
-                salvage_error = exc
-        else:
-            future.cancel()
-            salvage_error = TimeoutError(
-                "chunk abandoned by the watchdog after a stall"
-            )
-        failures += 1
-        _retry_serially(
-            name, kernel, cells, master_seed, task, salvage_error,
-            "after a watchdog stall", finish, progress, acct_list, watchdog,
-        )
-    return failures
-
-
-def _run_serial(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    pending: Sequence[Task],
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress] = None,
-    acct: Optional[List[Dict[str, Any]]] = None,
-    watchdog: Optional[ChunkWatchdog] = None,
-) -> int:
-    """Run chunks inline in the parent; retry in-chunk failures once.
-
-    Serial chunks historically could not fail without killing the sweep;
-    with cooperative fault hangs (:mod:`repro.runtime.faults`) a chunk
-    hung *in the parent* is cancelled by the watchdog mid-call and raises,
-    so the serial loop now owns the same retry funnel as the pools.
-    """
-    failures = 0
-    acct_list: List[Dict[str, Any]] = [] if acct is None else acct
-    for task in pending:
-        cell_index, chunk_index, start, stop = task
-        if watchdog is not None:
-            watchdog.submitted(task)
-        submit_ts = time.time()
-        try:
-            envelope = run_chunk_instrumented(
-                kernel, name, master_seed, cells[cell_index].params,
-                cell_index, chunk_index, start, stop, measure_ser=False,
-            )
-            _account_chunk(acct_list, name, task, "serial", submit_ts, envelope)
-            finish(task, envelope["pairs"])
-            if watchdog is not None:
-                watchdog.completed(task, float(envelope["wall_s"]))
-        except Exception as exc:
-            failures += 1
-            _retry_serially(
-                name, kernel, cells, master_seed, task, exc,
-                "in the serial loop", finish, progress, acct_list, watchdog,
-            )
-    return failures
-
-
-def _run_batched(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    pending: Sequence[Task],
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress] = None,
-    acct: Optional[List[Dict[str, Any]]] = None,
-    watchdog: Optional[ChunkWatchdog] = None,
-) -> int:
-    """Run chunks through the kernel's batched twin, in-parent.
-
-    Returns the number of chunks whose batched call failed and were
-    re-run serially through the scalar kernel — the same graceful
-    degradation the pool backend applies to dead workers, so a numerical
-    edge case in the vectorized path (e.g. a singular stacked matrix)
-    costs one chunk of speedup instead of the sweep.
-    """
-    batched = batched_kernel_for(kernel)
-    if batched is None:  # resolve_backend guarantees this; belt and braces
-        raise SweepError(f"no batched kernel registered for {kernel!r}")
-    failures = 0
-    acct_list: List[Dict[str, Any]] = [] if acct is None else acct
-    for task in pending:
-        cell_index, chunk_index, start, stop = task
-        if watchdog is not None:
-            watchdog.submitted(task)
-        submit_ts = time.time()
-        try:
-            envelope = run_chunk_batched_instrumented(
-                batched, name, master_seed, cells[cell_index].params,
-                cell_index, chunk_index, start, stop,
-            )
-            _account_chunk(acct_list, name, task, "batched", submit_ts, envelope)
-            finish(task, envelope["pairs"])
-            if watchdog is not None:
-                watchdog.completed(task, float(envelope["wall_s"]))
-        except Exception as exc:
-            failures += 1
-            _retry_serially(
-                name, kernel, cells, master_seed, task, exc,
-                "in the batched path", finish, progress, acct_list, watchdog,
-            )
-    return failures
-
-
-def _run_threads(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    workers: int,
-    pending: Sequence[Task],
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress] = None,
-    acct: Optional[List[Dict[str, Any]]] = None,
-    watchdog: Optional[ChunkWatchdog] = None,
-) -> int:
-    """Dispatch chunks to a thread pool; retry failures in the main thread.
-
-    Shares the parent's memory, tracer and metrics registry — no pickling,
-    no shards, no worker env flag — so the only overhead is queueing and
-    the GIL contention of the kernels' pure-python glue (numpy releases
-    the GIL inside BLAS/FFT calls).  Returns the number of chunks retried
-    after an in-thread kernel failure or a watchdog stall.
-
-    The result loop polls :func:`concurrent.futures.wait` with the
-    watchdog's cadence instead of blocking in ``as_completed`` — a hung
-    worker thread can therefore stall the *loop* but not the sweep: on
-    ``watchdog.stalled`` the loop breaks out, salvages whatever did
-    finish, and re-runs the rest serially.  Threads cannot be killed, so
-    shutdown of a stalled pool does not wait: cooperatively-cancelled
-    hangs (the injected-fault case) unwind on their own, and a genuinely
-    stuck thread is left behind as the documented cost of this backend.
-    """
-    failures = 0
-    acct_list: List[Dict[str, Any]] = [] if acct is None else acct
-    stalled = False
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures: Dict[Future[Envelope], Tuple[Task, float, Tuple[int, float]]] = {}
-        for task in pending:
-            if watchdog is not None:
-                watchdog.submitted(task)
-            submit_ts = time.time()
-            future = pool.submit(
-                run_chunk_instrumented, kernel, name, master_seed,
-                cells[task[0]].params, task[0], task[1], task[2], task[3],
-                False,
-            )
-            futures[future] = (task, submit_ts, (0, 0.0))
-        not_done = set(futures)
-        while not_done:
-            if watchdog is not None and watchdog.stalled.is_set():
-                stalled = True
-                break
-            timeout = (
-                watchdog.poll_interval_s if watchdog is not None else None
-            )
-            done, not_done = wait(
-                not_done, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                task, submit_ts, _ser = futures[future]
-                try:
-                    envelope = future.result()
-                    _account_chunk(
-                        acct_list, name, task, "thread", submit_ts, envelope
-                    )
-                    finish(task, envelope["pairs"])
-                    if watchdog is not None:
-                        watchdog.completed(task, float(envelope["wall_s"]))
-                except Exception as exc:
-                    failures += 1
-                    _retry_serially(
-                        name, kernel, cells, master_seed, task, exc,
-                        "in a thread", finish, progress, acct_list, watchdog,
-                    )
-        if stalled:
-            failures += _drain_stalled(
-                name, kernel, cells, master_seed,
-                {f: futures[f] for f in not_done}, "thread",
-                finish, progress, acct_list, watchdog,
-            )
-    finally:
-        pool.shutdown(wait=not stalled, cancel_futures=stalled)
-    return failures
 
 
 def _kill_pool_workers(pool: ProcessPoolExecutor) -> int:
@@ -1011,125 +548,241 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> int:
     return killed
 
 
-def _run_pool(
-    name: str,
-    kernel: Callable[[Any, Any], Any],
-    cells: Sequence[CellSpec],
-    master_seed: int,
-    workers: int,
-    pending: Sequence[Task],
-    finish: Callable[[Task, List[list]], None],
-    progress: Optional[SweepProgress] = None,
-    acct: Optional[List[Dict[str, Any]]] = None,
-    watchdog: Optional[ChunkWatchdog] = None,
-) -> int:
-    """Dispatch chunks to a process pool; retry failures serially in-parent.
+class _SweepRun:
+    """The parent-side state of one :func:`run_sweep` call.
 
-    Returns the number of chunks that needed a serial retry.  A dead worker
-    breaks the whole pool (``BrokenProcessPool``); every not-yet-finished
-    future then fails fast and each chunk is re-run serially, so the sweep
-    degrades gracefully to in-process execution rather than aborting.
-
-    A *hung* worker never breaks the pool on its own — the result loop
-    therefore polls :func:`concurrent.futures.wait` with the watchdog's
-    cadence, and on ``watchdog.stalled`` it breaks out, terminates every
-    worker (a stuck process cannot be asked nicely, and an un-killed one
-    would block interpreter exit), salvages the futures that did finish,
-    and re-runs the rest serially through the shared retry funnel.
-
-    When the parent traces to a file, workers write per-process trace
-    shards (see :func:`_worker_init`) that are merged back into the parent
-    trace once the pool has shut down; :func:`repro.obs.shards
-    .merge_shards` tolerates the torn shard a killed worker leaves behind.
+    Owns the completed-chunk map, the checkpoint writer, the progress
+    tracker, the watchdog and the per-chunk accounting, and runs the
+    pending chunks either in-process or on a process pool.  Both paths
+    share one completion step (:meth:`finish`) and one fault-tolerance
+    funnel (:meth:`retry`).
     """
-    failures = 0
-    acct_list: List[Dict[str, Any]] = [] if acct is None else acct
-    worker_ctx = trace.worker_context(sweep=name)
-    ser_cache: Dict[int, Tuple[int, float]] = {}
 
-    def task_ser_cost(task: Task) -> Tuple[int, float]:
-        # Measured once per cell: chunks of a cell ship identical payloads
-        # (same kernel/params, different trial bounds), so one probe prices
-        # them all without re-pickling every submission.
-        cached = ser_cache.get(task[0])
-        if cached is None:
-            probe = Timer().start()
-            try:
-                size = len(pickle.dumps(
-                    (kernel, name, master_seed, cells[task[0]].params,
-                     task[0], task[1], task[2], task[3]),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ))
-            except Exception:  # unpicklable probe: let the pool report it
-                size = 0
-            probe.stop()
-            cached = ser_cache[task[0]] = (size, probe.wall_s)
-        return cached
+    def __init__(
+        self,
+        name: str,
+        kernel: Kernel,
+        cells: Sequence[CellSpec],
+        master_seed: int,
+        completed: Dict[Tuple[int, int], List[list]],
+        writer: Any,
+        progress: SweepProgress,
+        watchdog: Optional[ChunkWatchdog],
+    ) -> None:
+        self.name = name
+        self.kernel = kernel
+        self.cells = cells
+        self.master_seed = master_seed
+        self.completed = completed
+        self.writer = writer
+        self.progress = progress
+        self.watchdog = watchdog
+        self.acct: List[Dict[str, Any]] = []
+        self.failures = 0
 
-    stalled = False
-    pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(worker_ctx,),
-    )
-    try:
-        futures: Dict[Future[Envelope], Tuple[Task, float, Tuple[int, float]]] = {}
+    def _submitted(self, task: Task) -> float:
+        if self.watchdog is not None:
+            self.watchdog.submitted(task)
+        return time.time()
+
+    def _run_here(self, task: Task) -> Envelope:
+        cell_index, chunk_index, start, stop = task
+        return run_chunk_instrumented(
+            self.kernel, self.name, self.master_seed,
+            self.cells[cell_index].params, cell_index, chunk_index,
+            start, stop, measure_ser=False,
+        )
+
+    def finish(
+        self,
+        task: Task,
+        mode: str,
+        submit_ts: float,
+        envelope: Envelope,
+        ser_cost: Tuple[int, float] = (0, 0.0),
+    ) -> None:
+        """Account a completed chunk and record (and checkpoint) its results."""
+        _account_chunk(
+            self.acct, self.name, task, mode, submit_ts, envelope, ser_cost
+        )
+        cell_index, chunk_index = task[0], task[1]
+        self.completed[(cell_index, chunk_index)] = envelope["pairs"]
+        _CHUNKS_RUN.inc()
+        if self.writer is not None:
+            self.writer.append_chunk(cell_index, chunk_index, envelope["pairs"])
+        self.progress.chunk_done(task[3] - task[2])
+        if self.watchdog is not None:
+            self.watchdog.completed(task, float(envelope["wall_s"]))
+
+    def retry(self, task: Task, error: BaseException, where: str) -> None:
+        """Account one failed chunk and re-run it serially in the parent.
+
+        Kernel errors, dead pool workers and watchdog-abandoned stalls all
+        land here, so a failed chunk costs its speedup rather than the
+        sweep.  ``where`` is prose for the log line.
+        """
+        cell_index, chunk_index = task[0], task[1]
+        self.failures += 1
+        _CHUNK_FAILURES.inc()
+        self.progress.chunk_failed()
+        logger.warning(
+            "chunk (cell=%d, chunk=%d) of sweep %r failed %s (%s: %s); "
+            "retrying serially in-parent",
+            cell_index, chunk_index, self.name, where,
+            type(error).__name__, error,
+        )
+        trace.event(
+            "runtime.chunk_failure", sweep=self.name, cell=cell_index,
+            chunk=chunk_index, error=type(error).__name__,
+        )
+        retry_ts = time.time()
+        envelope = self._run_here(task)
+        _SERIAL_RETRIES.inc()
+        self.progress.retry_done()
+        self.finish(task, "retry", retry_ts, envelope)
+
+    def in_process(self, pending: Sequence[Task]) -> None:
+        """Run chunks in the parent; retry a failed chunk once.
+
+        With cooperative fault hangs (:mod:`repro.runtime.faults`) a chunk
+        hung in the parent is cancelled by the watchdog mid-call and
+        raises, so the in-process loop owns the same retry funnel as the
+        pool.
+        """
         for task in pending:
-            ser_cost = task_ser_cost(task)
-            if watchdog is not None:
-                watchdog.submitted(task)
-            submit_ts = time.time()
-            future = pool.submit(
-                run_chunk_instrumented, kernel, name, master_seed,
-                cells[task[0]].params, task[0], task[1], task[2], task[3],
+            submit_ts = self._submitted(task)
+            try:
+                envelope = self._run_here(task)
+            except Exception as exc:
+                self.retry(task, exc, "in-process")
+                continue
+            self.finish(task, "serial", submit_ts, envelope)
+
+    def on_pool(self, pending: Sequence[Task], workers: int) -> None:
+        """Dispatch chunks to a process pool; retry failures serially in-parent.
+
+        A dead worker breaks the whole pool (``BrokenProcessPool``); every
+        not-yet-finished future then fails fast and each chunk is re-run
+        serially, so the sweep degrades gracefully to in-process execution
+        rather than aborting.
+
+        A *hung* worker never breaks the pool on its own — the result loop
+        therefore polls :func:`concurrent.futures.wait` with the watchdog's
+        cadence, and on ``watchdog.stalled`` it breaks out, terminates every
+        worker (a stuck process cannot be asked nicely, and an un-killed one
+        would block interpreter exit), salvages the futures that did finish,
+        and re-runs the rest serially through :meth:`retry`.
+
+        When the parent traces to a file, workers write per-process trace
+        shards (see :func:`_worker_init`) that are merged back into the
+        parent trace once the pool has shut down;
+        :func:`repro.obs.shards.merge_shards` tolerates the torn shard a
+        killed worker leaves behind.
+        """
+        watchdog = self.watchdog
+        worker_ctx = trace.worker_context(sweep=self.name)
+        ser_cache: Dict[int, Tuple[int, float]] = {}
+
+        def task_ser_cost(task: Task) -> Tuple[int, float]:
+            # Measured once per cell: chunks of a cell ship identical
+            # payloads (same kernel/params, different trial bounds), so one
+            # probe prices them all without re-pickling every submission.
+            cached = ser_cache.get(task[0])
+            if cached is None:
+                probe = Timer().start()
+                try:
+                    size = len(pickle.dumps(
+                        (self.kernel, self.name, self.master_seed,
+                         self.cells[task[0]].params, *task),
+                        protocol=pickle.HIGHEST_PROTOCOL,
+                    ))
+                except Exception:  # unpicklable probe: let the pool report it
+                    size = 0
+                probe.stop()
+                cached = ser_cache[task[0]] = (size, probe.wall_s)
+            return cached
+
+        stalled = False
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init,
+            initargs=(worker_ctx,),
+        )
+        try:
+            futures: Dict[Future[Envelope], Tuple[Task, float, Tuple[int, float]]] = {}
+            for task in pending:
+                ser_cost = task_ser_cost(task)
+                submit_ts = self._submitted(task)
+                future = pool.submit(
+                    run_chunk_instrumented, self.kernel, self.name,
+                    self.master_seed, self.cells[task[0]].params,
+                    task[0], task[1], task[2], task[3],
+                )
+                futures[future] = (task, submit_ts, ser_cost)
+            not_done = set(futures)
+            while not_done:
+                if watchdog is not None and watchdog.stalled.is_set():
+                    stalled = True
+                    break
+                timeout = watchdog.poll_interval_s if watchdog is not None else None
+                done, not_done = wait(
+                    not_done, timeout=timeout, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    task, submit_ts, ser_cost = futures[future]
+                    try:
+                        envelope = future.result()
+                    except Exception as exc:  # kernel error or broken pool
+                        self.retry(task, exc, "in the pool")
+                        continue
+                    self.finish(task, "pool", submit_ts, envelope, ser_cost)
+            if stalled:
+                killed = _kill_pool_workers(pool)
+                if killed:
+                    logger.warning(
+                        "watchdog stall on sweep %r: terminated %d pool "
+                        "worker(s)", self.name, killed,
+                    )
+                self._drain_stalled({f: futures[f] for f in not_done})
+        finally:
+            pool.shutdown(wait=not stalled, cancel_futures=stalled)
+        if worker_ctx is not None:
+            stats = shards.merge_shards(
+                trace,
+                worker_ctx["shard_dir"],
+                default_parent_id=worker_ctx["parent_span_id"],
+                default_depth=worker_ctx["parent_depth"],
             )
-            futures[future] = (task, submit_ts, ser_cost)
-        not_done = set(futures)
-        while not_done:
-            if watchdog is not None and watchdog.stalled.is_set():
-                stalled = True
-                break
-            timeout = (
-                watchdog.poll_interval_s if watchdog is not None else None
-            )
-            done, not_done = wait(
-                not_done, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            for future in done:
-                task, submit_ts, ser_cost = futures[future]
+            trace.event("runtime.shards_merged", sweep=self.name, **stats)
+
+    def _drain_stalled(
+        self,
+        remaining: Dict["Future[Envelope]", Tuple[Task, float, Tuple[int, float]]],
+    ) -> None:
+        """Recover the futures a stalled pool abandoned.
+
+        Futures that did complete before (or while) the stall was declared
+        are salvaged through the normal accounting path — their results are
+        bit-identical to a retry's, but salvaging keeps their envelopes
+        honest.  Everything else is cancelled and re-run serially through
+        :meth:`retry`; the watchdog has already released cooperative fault
+        hangs, so retries of the stalled chunks run clean.
+        """
+        if self.watchdog is not None:
+            self.watchdog.abandon_all()
+        for future, (task, submit_ts, ser_cost) in sorted(
+            remaining.items(), key=lambda item: item[1][0]
+        ):
+            if future.done():
                 try:
                     envelope = future.result()
-                    _account_chunk(
-                        acct_list, name, task, "pool", submit_ts, envelope,
-                        ser_cost,
-                    )
-                    finish(task, envelope["pairs"])
-                    if watchdog is not None:
-                        watchdog.completed(task, float(envelope["wall_s"]))
-                except Exception as exc:  # kernel error or broken pool
-                    failures += 1
-                    _retry_serially(
-                        name, kernel, cells, master_seed, task, exc,
-                        "in the pool", finish, progress, acct_list, watchdog,
-                    )
-        if stalled:
-            killed = _kill_pool_workers(pool)
-            if killed:
-                logger.warning(
-                    "watchdog stall on sweep %r: terminated %d pool worker(s)",
-                    name, killed,
+                except Exception as exc:
+                    self.retry(task, exc, "after a watchdog stall")
+                    continue
+                self.finish(task, "pool", submit_ts, envelope, ser_cost)
+            else:
+                future.cancel()
+                self.retry(
+                    task,
+                    TimeoutError("chunk abandoned by the watchdog after a stall"),
+                    "after a watchdog stall",
                 )
-            failures += _drain_stalled(
-                name, kernel, cells, master_seed,
-                {f: futures[f] for f in not_done}, "pool",
-                finish, progress, acct_list, watchdog,
-            )
-    finally:
-        pool.shutdown(wait=not stalled, cancel_futures=stalled)
-    if worker_ctx is not None:
-        stats = shards.merge_shards(
-            trace,
-            worker_ctx["shard_dir"],
-            default_parent_id=worker_ctx["parent_span_id"],
-            default_depth=worker_ctx["parent_depth"],
-        )
-        trace.event("runtime.shards_merged", sweep=name, **stats)
-    return failures

@@ -6,7 +6,7 @@ engine's result loop indefinitely: ``as_completed`` has no deadline, so
 an hours-long sweep died silently at whatever chunk stopped answering.
 
 :class:`ChunkWatchdog` is the parent-side monitor the engine arms around
-every backend.  The engine reports ``submitted``/``completed`` for each
+every sweep, in-process or pooled.  The engine reports ``submitted``/``completed`` for each
 work item; a daemon monitor thread checks, every
 :data:`POLL_INTERVAL_S`, whether *any* completion has happened within
 the current **deadline**:
@@ -27,9 +27,10 @@ cannot stop it —
    ``faulthandler`` dump of every thread, hung ones included,
 3. releases cooperative fault hangs (:func:`repro.runtime.faults
    .cancel_hangs`) and sets :attr:`stalled`, on which the engine's
-   pool/thread result loops break out, kill the abandoned workers, and
-   re-run the unfinished chunks serially through the existing
-   retry path.
+   pool result loop breaks out, kills the abandoned workers, and
+   re-runs the unfinished chunks serially through the existing
+   retry path (an in-process hang raises out of the cancelled chunk
+   straight into that retry path).
 
 ``REPRO_WATCHDOG=0`` disables the monitor entirely.
 """
@@ -156,7 +157,7 @@ class ChunkWatchdog:
     # -- engine-facing accounting ----------------------------------------------
 
     def submitted(self, task: Task) -> None:
-        """A work item entered the backend (queued or running)."""
+        """A work item was submitted (queued or running)."""
         with self._lock:
             self._in_flight[task] = time.monotonic()
 
@@ -244,7 +245,7 @@ class ChunkWatchdog:
         self.stall_info = info
         logger.error(
             "watchdog: sweep %r stalled — no chunk completion in %.1fs "
-            "(deadline %.1fs, %d chunk(s) in flight on the %s backend); "
+            "(deadline %.1fs, %d chunk(s) in flight, %s mode); "
             "dumping forensics and recovering serially",
             self.sweep, waited, deadline, len(in_flight), self.mode,
         )
@@ -255,7 +256,7 @@ class ChunkWatchdog:
         if bundle is not None:
             info["bundle"] = str(bundle)
         # Release cooperative hangs *before* waking the engine: a hung
-        # pool thread can now unwind instead of blocking interpreter
-        # exit, and the serial retry of the same chunk runs through.
+        # chunk can now unwind instead of blocking interpreter exit, and
+        # the serial retry of the same chunk runs through.
         faults.cancel_hangs()
         self.stalled.set()

@@ -64,53 +64,55 @@ class SyncAblationResult:
         return "\n".join(lines)
 
 
-def sync_ablation_kernel(params, seed):
-    """One sync-ablation trial: every strategy run on *one* shared system.
+def sync_ablation_kernel(params, seeds):
+    """Sync-ablation trials: every strategy run on *one* shared system.
 
     The strategies are paired — the same system seed (channels,
     oscillators, placement) underlies each of them — so the comparison
     isolates the synchronization strategy, exactly as the original serial
     loop reused one seed list across strategies.  Returns
-    ``{strategy: [|misalignment| per delay]}``.
+    ``{strategy: [|misalignment| per delay]}`` per seed.
     """
-    rng = ensure_rng(seed)
-    system_seed = int(rng.integers(1 << 31))
     delays_s = params["delays_s"]
-    out = {}
-    for strategy in params["strategies"]:
-        config = SystemConfig(
-            n_aps=2, n_clients=2, seed=system_seed, sync_strategy=strategy
-        )
-        system = MegaMimoSystem.create(
-            config,
-            client_snr_db=25.0,
-            channel_model=RicianChannel(k_factor=8.0),
-        )
-        system.run_sounding(0.0)
-        curve = []
-        for delay in delays_s:
-            report = system.joint_transmit(
-                [b"A" * 16, b"B" * 16],
-                __mcs0(),
-                start_time=float(delay),
+    trials = []
+    for seed in seeds:
+        system_seed = int(ensure_rng(seed).integers(1 << 31))
+        out = {}
+        for strategy in params["strategies"]:
+            config = SystemConfig(
+                n_aps=2, n_clients=2, seed=system_seed, sync_strategy=strategy
             )
-            if strategy == "none":
-                # genie misalignment of the uncorrected slave
-                lead = system.medium.oscillator(system.lead_id)
-                slave = system.medium.oscillator(system.ap_ids[1])
-                tref = system.reference_time
-                t = report.joint_start_time
-                err = (
-                    lead.phase_at([t])[0]
-                    - slave.phase_at([t])[0]
-                    - lead.phase_at([tref])[0]
-                    + slave.phase_at([tref])[0]
+            system = MegaMimoSystem.create(
+                config,
+                client_snr_db=25.0,
+                channel_model=RicianChannel(k_factor=8.0),
+            )
+            system.run_sounding(0.0)
+            curve = []
+            for delay in delays_s:
+                report = system.joint_transmit(
+                    [b"A" * 16, b"B" * 16],
+                    __mcs0(),
+                    start_time=float(delay),
                 )
-                curve.append(abs(wrap_phase(err)))
-            else:
-                curve.append(float(np.mean(list(report.misalignment_rad.values()))))
-        out[strategy] = curve
-    return out
+                if strategy == "none":
+                    # genie misalignment of the uncorrected slave
+                    lead = system.medium.oscillator(system.lead_id)
+                    slave = system.medium.oscillator(system.ap_ids[1])
+                    tref = system.reference_time
+                    t = report.joint_start_time
+                    err = (
+                        lead.phase_at([t])[0]
+                        - slave.phase_at([t])[0]
+                        - lead.phase_at([tref])[0]
+                        + slave.phase_at([tref])[0]
+                    )
+                    curve.append(abs(wrap_phase(err)))
+                else:
+                    curve.append(float(np.mean(list(report.misalignment_rad.values()))))
+            out[strategy] = curve
+        trials.append(out)
+    return trials
 
 
 def run_sync_strategy_ablation(
@@ -121,7 +123,6 @@ def run_sync_strategy_ablation(
     workers: int = 1,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    backend: Optional[str] = None,
 ) -> SyncAblationResult:
     """Measure genie slave misalignment for each strategy and elapsed time.
 
@@ -147,7 +148,6 @@ def run_sync_strategy_ablation(
         workers=workers,
         checkpoint=checkpoint,
         resume=resume,
-        backend=backend,
     )
     trials = sweep.results[0]
     result: Dict[str, np.ndarray] = {
@@ -466,7 +466,6 @@ def run_screening_ablation(
     n_aps: Sequence[int] = (4, 8),
     n_topologies: int = 8,
     workers: int = 1,
-    backend: Optional[str] = None,
 ) -> ScreeningAblationResult:
     """Fig. 9's placement screen on vs. off.
 
@@ -479,11 +478,11 @@ def run_screening_ablation(
 
     screened_run = run_fig9(
         seed=seed, n_aps=tuple(n_aps), n_topologies=n_topologies,
-        max_penalty_db=2.0, workers=workers, backend=backend,
+        max_penalty_db=2.0, workers=workers,
     )
     unscreened_run = run_fig9(
         seed=seed, n_aps=tuple(n_aps), n_topologies=n_topologies,
-        max_penalty_db=None, workers=workers, backend=backend,
+        max_penalty_db=None, workers=workers,
     )
     return ScreeningAblationResult(
         n_aps=list(n_aps),

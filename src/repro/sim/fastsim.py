@@ -26,7 +26,6 @@ import numpy as np
 from repro.channel.models import ChannelModel, RicianChannel
 from repro.core.beamforming import zero_forcing_precoder_wideband
 from repro.obs import metrics, timeseries
-from repro.runtime import register_batched_kernel
 from repro.utils.rng import complex_normal, ensure_rng
 from repro.utils.units import db_to_linear, linear_to_db
 from repro.utils.validation import require
@@ -185,9 +184,8 @@ def build_channel_tensor(
 
     All links are drawn through one vectorized
     :meth:`ChannelModel.realize_taps` call (array-sized RNG draws rather
-    than the per-link scalar draws of earlier revisions), so the serial
-    sweep kernels and the batched backend consume per-trial streams
-    identically.
+    than per-link scalar draws), and each link's FFT is bit-identical
+    whether its tensor is built alone or stacked with other trials'.
     """
     rng = ensure_rng(rng)
     model = model or RicianChannel(k_factor=7.0)
@@ -217,10 +215,10 @@ def joint_zf_sinr_db(
     Returns:
         (..., n_rx, n_bins) SINR in dB.
 
-    The 3-D input keeps the loopy per-subcarrier reference implementation;
-    batched inputs take one broadcast-matmul pass whose per-trial results
-    are bit-identical to the reference (the backend-equivalence harness and
-    the batch-of-1 property tests pin this).
+    Every subcarrier of every tensor is evaluated in one broadcast-matmul
+    pass; a single (n_bins, n_rx, n_tx) tensor is a batch of one.  The
+    batch-of-1 property tests pin each slice bit-for-bit against a
+    per-subcarrier loop.
     """
     channels = np.asarray(channels, dtype=complex)
     est = channels if est_channels is None else np.asarray(est_channels, dtype=complex)
@@ -231,15 +229,6 @@ def joint_zf_sinr_db(
         else np.ones(n_tx)
     )
     precoders, _ = zero_forcing_precoder_wideband(est)
-    if channels.ndim == 3:
-        n_bins, n_rx, _ = channels.shape
-        sinr = np.empty((n_rx, n_bins))
-        for b in range(n_bins):
-            eff = (channels[b] * rotation[None, :]) @ precoders[b]
-            signal = np.abs(np.diag(eff)) ** 2
-            interference = np.sum(np.abs(eff) ** 2, axis=1) - signal
-            sinr[:, b] = signal / (interference + noise_power)
-        return linear_to_db(sinr)
     eff = (channels * rotation[..., None, None, :]) @ precoders
     signal = np.abs(np.diagonal(eff, axis1=-2, axis2=-1)) ** 2  # (..., B, R)
     interference = np.sum(np.abs(eff) ** 2, axis=-1) - signal
@@ -256,9 +245,9 @@ def nulling_inr_db(
 ) -> float:
     """Fig. 8 metric: (leakage + noise) / noise, in dB, at a nulled client.
 
-    Accepts a (..., n_bins, n_rx, n_tx) batch and then returns a
-    (...,)-shaped array; the batched path accumulates leakage bin-by-bin in
-    the same order as the scalar reference, so agreement is exact up to the
+    Returns a float for one (n_bins, n_rx, n_tx) tensor and a
+    (...,)-shaped array for a stack.  Leakage is accumulated bin-by-bin in
+    subcarrier order, so a per-subcarrier loop agrees up to the
     vector-matrix product (gemv vs. batched gemm — pinned at tight
     tolerance by the property tests).
     """
@@ -273,20 +262,14 @@ def nulling_inr_db(
     precoders, _ = zero_forcing_precoder_wideband(est)
     others = np.ones(n_rx, dtype=bool)
     others[nulled_client] = False
-    if channels.ndim == 3:
-        leak = 0.0
-        for b in range(n_bins):
-            row = (channels[b][nulled_client] * rotation) @ precoders[b]
-            leak += float(np.sum(np.abs(row[others]) ** 2))
-        leak /= n_bins
-        return float(linear_to_db((leak + noise_power) / noise_power))
     rotated = channels[..., :, nulled_client, :] * rotation[..., None, :]
     rows = (rotated[..., :, None, :] @ precoders)[..., 0, :]  # (..., B, R)
     leak = np.zeros(channels.shape[:-3])
     for b in range(n_bins):
         leak = leak + np.sum(np.abs(rows[..., b, others]) ** 2, axis=-1)
     leak = leak / n_bins
-    return linear_to_db((leak + noise_power) / noise_power)
+    inr_db = linear_to_db((leak + noise_power) / noise_power)
+    return float(inr_db) if np.ndim(inr_db) == 0 else inr_db
 
 
 def diversity_snr_db(
@@ -344,15 +327,6 @@ def mmse_stream_sinr_db(
     require(n_rx >= n_tx, "MMSE separation needs n_rx >= n_tx streams")
     snr_scale = per_stream_power / noise_power
     eye = np.eye(n_tx)
-    if channels.ndim == 3:
-        n_bins = channels.shape[0]
-        sinr = np.empty((n_tx, n_bins))
-        for b in range(n_bins):
-            h = channels[b]
-            gram = eye + snr_scale * (h.conj().T @ h)
-            inv_diag = np.real(np.diag(np.linalg.inv(gram)))
-            sinr[:, b] = 1.0 / np.maximum(inv_diag, 1e-12) - 1.0
-        return linear_to_db(np.maximum(sinr, 1e-12))
     gram = eye + snr_scale * (np.conj(np.swapaxes(channels, -1, -2)) @ channels)
     inv_diag = np.real(np.diagonal(np.linalg.inv(gram), axis1=-2, axis2=-1))
     sinr = 1.0 / np.maximum(inv_diag, 1e-12) - 1.0  # (..., B, n_tx)
@@ -371,65 +345,38 @@ def unicast_snr_db(channels: np.ndarray, client: int, ap: int,
 # ---------------------------------------------------------------------------
 
 
-def sinr_grid_kernel(params, seed):
-    """One fast-path trial: joint-ZF SINR statistics of a random topology.
+def sinr_grid_kernel(params, seeds):
+    """Fast-path trials: joint-ZF SINR statistics of random topologies.
 
-    A pure ``(params, seed) -> result`` kernel for the sweep engine — one
-    NxN draw from the band, corrupted estimate, per-device phase errors,
-    and the resulting post-beamforming SINR summary.
-    """
-    rng = ensure_rng(seed)
-    n = params["n"]
-    error_model = params["error_model"]
-    snrs = draw_band_snrs(tuple(params["band"]), n, n, rng)
-    channels = build_channel_tensor(snrs, rng)
-    est = error_model.corrupt_estimate(channels, snrs, rng)
-    errors = error_model.phase_errors(n, rng)
-    sinr_db = joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
-    return {
-        "mean_sinr_db": float(np.mean(sinr_db)),
-        "min_sinr_db": float(np.min(sinr_db)),
-        "max_sinr_db": float(np.max(sinr_db)),
-    }
-
-
-def sinr_grid_kernel_batch(params, seeds):
-    """Batched :func:`sinr_grid_kernel`: one array pass over many trials.
-
-    RNG draws stay per-trial — each seed's generator consumes exactly the
-    draws the scalar kernel would (band SNRs, link taps, estimation noise,
-    phase errors, in that order) — while the FFTs, ZF inversions and SINR
-    reductions run once over the stacked trial axis.  Results are
-    bit-identical to mapping :func:`sinr_grid_kernel` over ``seeds``.
+    A pure ``(params, seeds) -> [result per seed]`` kernel for the sweep
+    engine.  Each seed's generator draws one NxN topology from the band,
+    its corrupted estimate and per-device phase errors, in that order;
+    the ZF inversions and SINR reductions then run once over the stacked
+    trial axis.
     """
     n = int(params["n"])
     band = tuple(params["band"])
     error_model = params["error_model"]
-    model = RicianChannel(k_factor=7.0)
-    snrs, taps, est_noise, errors = [], [], [], []
+    channels, est, errors = [], [], []
     for seed in seeds:
         rng = ensure_rng(seed)
-        trial_snrs = draw_band_snrs(band, n, n, rng)
-        snrs.append(trial_snrs)
-        taps.append(model.realize_taps(db_to_linear(trial_snrs), rng=rng))
-        est_noise.append(complex_normal(rng, (N_BINS, n, n), 1.0))
+        snrs = draw_band_snrs(band, n, n, rng)
+        trial_channels = build_channel_tensor(snrs, rng)
+        channels.append(trial_channels)
+        est.append(error_model.corrupt_estimate(trial_channels, snrs, rng))
         errors.append(error_model.phase_errors(n, rng))
-    snr_arr = np.stack(snrs)  # (T, n, n)
-    channels = taps_to_channel_tensor(np.stack(taps))  # (T, B, n, n)
-    est_snr = db_to_linear(snr_arr + error_model.estimation_snr_boost_db)
-    scale = np.abs(channels) / np.sqrt(est_snr)[..., None, :, :]
-    est = channels + np.stack(est_noise) * scale
-    _OBS_ESTIMATES.inc(len(seeds))
+    # rebinding drops the per-trial lists before the SINR pass allocates
+    channels, est = np.stack(channels), np.stack(est)
     sinr_db = np.ascontiguousarray(
         joint_zf_sinr_db(channels, phase_errors=np.stack(errors), est_channels=est)
-    )
+    )  # (n_trials, n, n_bins)
     return [
         {
-            "mean_sinr_db": float(np.mean(sinr_db[t])),
-            "min_sinr_db": float(np.min(sinr_db[t])),
-            "max_sinr_db": float(np.max(sinr_db[t])),
+            "mean_sinr_db": float(np.mean(trial)),
+            "min_sinr_db": float(np.min(trial)),
+            "max_sinr_db": float(np.max(trial)),
         }
-        for t in range(len(seeds))
+        for trial in sinr_db
     ]
 
 
@@ -442,7 +389,6 @@ def run_sinr_grid(
     workers: int = 1,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    backend: Optional[str] = None,
 ) -> dict:
     """Monte Carlo grid over system sizes of the fast-path SINR physics.
 
@@ -464,7 +410,7 @@ def run_sinr_grid(
     ]
     sweep = run_sweep(
         "fastsim.sinr_grid", sinr_grid_kernel, cells, master_seed=int(seed),
-        workers=workers, checkpoint=checkpoint, resume=resume, backend=backend,
+        workers=workers, checkpoint=checkpoint, resume=resume,
     )
     out = {}
     for n in sizes:
@@ -475,8 +421,3 @@ def run_sinr_grid(
             "max_sinr_db": float(np.max([t["max_sinr_db"] for t in trials])),
         }
     return out
-
-
-# The batched twin is registered at import time so every entry point —
-# run_sinr_grid, the CLI, the bench script — can resolve it by kernel.
-register_batched_kernel(sinr_grid_kernel, sinr_grid_kernel_batch)

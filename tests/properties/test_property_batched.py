@@ -1,11 +1,13 @@
-"""Property-based tests of the batched (vectorized) kernel paths.
+"""Property-based tests of the stacked (vectorized) array paths.
 
-The batched execution backend rests on three families of invariants:
+Every sweep kernel takes a batch of seeds and stacks its trials, which
+rests on three families of invariants:
 
-* **batch-of-1 equivalence** — feeding a kernel a stack of trials yields,
-  per trial slice, exactly what the scalar (3-D) reference path produces.
-  Everything except :func:`nulling_inr_db` is bitwise; nulling swaps a
-  gemv for a batched gemm and is pinned at tight tolerance instead;
+* **per-subcarrier equivalence** — each trial slice of a stacked call, and
+  a single (3-D) tensor, which is just a batch of one, match the
+  per-subcarrier loops kept here as test-local oracles.  Everything except
+  :func:`nulling_inr_db` is bitwise; nulling swaps the oracle's gemv for a
+  batched gemm and is pinned at tight tolerance instead;
 * **shape/dtype invariants** — batch axes pass through untouched and
   outputs are real float arrays whatever the topology dimensions;
 * **permutation invariance** — trials own independent seed streams, so
@@ -31,8 +33,8 @@ from repro.sim.fastsim import (
     mmse_stream_sinr_db,
     nulling_inr_db,
     sinr_grid_kernel,
-    sinr_grid_kernel_batch,
 )
+from repro.utils.units import linear_to_db
 
 dims = st.integers(min_value=2, max_value=4)
 batch_sizes = st.integers(min_value=1, max_value=3)
@@ -51,6 +53,58 @@ def _stack(seed, batch, n_bins, n_rx, n_tx):
     return channels, phases
 
 
+# ---------------------------------------------------------------------------
+# Per-subcarrier oracles: one matrix operation per bin.
+# ---------------------------------------------------------------------------
+
+
+def wideband_precoder_oracle(channels):
+    n_bins, n_clients, n_antennas = channels.shape
+    inverses = np.empty((n_bins, n_antennas, n_clients), dtype=complex)
+    for b in range(n_bins):
+        inverses[b] = np.linalg.inv(channels[b])
+    per_antenna = np.mean(np.sum(np.abs(inverses) ** 2, axis=-1), axis=-2)
+    k = float(np.sqrt(1.0 / np.max(per_antenna, axis=-1)))
+    return k * inverses, k
+
+
+def joint_zf_oracle(channels, phase_errors, est_channels):
+    precoders, _ = wideband_precoder_oracle(est_channels)
+    rotation = np.exp(1j * phase_errors)
+    n_bins, n_rx, _ = channels.shape
+    sinr = np.empty((n_rx, n_bins))
+    for b in range(n_bins):
+        eff = (channels[b] * rotation[None, :]) @ precoders[b]
+        signal = np.abs(np.diag(eff)) ** 2
+        interference = np.sum(np.abs(eff) ** 2, axis=1) - signal
+        sinr[:, b] = signal / (interference + 1.0)
+    return linear_to_db(sinr)
+
+
+def nulling_oracle(channels, nulled, phase_errors):
+    precoders, _ = wideband_precoder_oracle(channels)
+    rotation = np.exp(1j * phase_errors)
+    n_bins, n_rx, _ = channels.shape
+    others = np.ones(n_rx, dtype=bool)
+    others[nulled] = False
+    leak = 0.0
+    for b in range(n_bins):
+        row = (channels[b][nulled] * rotation) @ precoders[b]
+        leak += float(np.sum(np.abs(row[others]) ** 2))
+    return float(linear_to_db(leak / n_bins + 1.0))
+
+
+def mmse_oracle(channels, noise_power):
+    n_bins, _, n_tx = channels.shape
+    sinr = np.empty((n_tx, n_bins))
+    for b in range(n_bins):
+        h = channels[b]
+        gram = np.eye(n_tx) + (h.conj().T @ h) / noise_power
+        inv_diag = np.real(np.diag(np.linalg.inv(gram)))
+        sinr[:, b] = 1.0 / np.maximum(inv_diag, 1e-12) - 1.0
+    return linear_to_db(np.maximum(sinr, 1e-12))
+
+
 class TestBatchOfOneMatchesScalar:
     @given(seed=seeds, batch=batch_sizes, n=dims, n_bins=bins)
     @settings(max_examples=25, deadline=None)
@@ -61,9 +115,11 @@ class TestBatchOfOneMatchesScalar:
         batched = joint_zf_sinr_db(channels, phase_errors=phases,
                                    est_channels=est)
         for t in range(batch):
-            scalar = joint_zf_sinr_db(channels[t], phase_errors=phases,
+            oracle = joint_zf_oracle(channels[t], phases, est[t])
+            np.testing.assert_array_equal(batched[t], oracle)
+            single = joint_zf_sinr_db(channels[t], phase_errors=phases,
                                       est_channels=est[t])
-            np.testing.assert_array_equal(batched[t], scalar)
+            np.testing.assert_array_equal(single, oracle)
 
     @given(seed=seeds, batch=batch_sizes, n=dims, n_bins=bins)
     @settings(max_examples=25, deadline=None)
@@ -73,9 +129,12 @@ class TestBatchOfOneMatchesScalar:
         batched = nulling_inr_db(channels, nulled, phase_errors=phases)
         assert np.shape(batched) == (batch,)
         for t in range(batch):
-            scalar = nulling_inr_db(channels[t], nulled, phase_errors=phases)
-            np.testing.assert_allclose(batched[t], scalar,
+            oracle = nulling_oracle(channels[t], nulled, phases)
+            np.testing.assert_allclose(batched[t], oracle,
                                        rtol=1e-12, atol=1e-12)
+            single = nulling_inr_db(channels[t], nulled, phase_errors=phases)
+            assert isinstance(single, float)
+            np.testing.assert_allclose(single, oracle, rtol=1e-12, atol=1e-12)
 
     @given(seed=seeds, batch=batch_sizes, n=dims, n_bins=bins)
     @settings(max_examples=25, deadline=None)
@@ -83,8 +142,11 @@ class TestBatchOfOneMatchesScalar:
         channels, _ = _stack(seed, batch, n_bins, n, n)
         batched = mmse_stream_sinr_db(channels, noise_power=0.5)
         for t in range(batch):
-            scalar = mmse_stream_sinr_db(channels[t], noise_power=0.5)
-            np.testing.assert_array_equal(batched[t], scalar)
+            oracle = mmse_oracle(channels[t], noise_power=0.5)
+            np.testing.assert_array_equal(batched[t], oracle)
+            np.testing.assert_array_equal(
+                mmse_stream_sinr_db(channels[t], noise_power=0.5), oracle
+            )
 
     @given(seed=seeds, batch=batch_sizes, n_aps=dims, n_bins=bins)
     @settings(max_examples=25, deadline=None)
@@ -103,9 +165,13 @@ class TestBatchOfOneMatchesScalar:
         channels, _ = _stack(seed, batch, n_bins, n, n)
         precoders, scale = zero_forcing_precoder_wideband(channels)
         for t in range(batch):
-            ref_p, ref_k = zero_forcing_precoder_wideband(channels[t])
+            ref_p, ref_k = wideband_precoder_oracle(channels[t])
             np.testing.assert_array_equal(precoders[t], ref_p)
             np.testing.assert_array_equal(np.asarray(scale)[t], ref_k)
+            single_p, single_k = zero_forcing_precoder_wideband(channels[t])
+            assert isinstance(single_k, float)
+            np.testing.assert_array_equal(single_p, ref_p)
+            assert single_k == ref_k
 
     @given(seed=seeds, batch=batch_sizes, n=dims)
     @settings(max_examples=25, deadline=None)
@@ -178,9 +244,9 @@ class TestTrialPermutationInvariance:
     def test_permuting_seeds_permutes_results(self, master, order_seed,
                                               n_trials):
         trial_seeds = [master + i for i in range(n_trials)]
-        results = sinr_grid_kernel_batch(self.PARAMS, trial_seeds)
+        results = sinr_grid_kernel(self.PARAMS, trial_seeds)
         perm = np.random.default_rng(order_seed).permutation(n_trials)
-        permuted = sinr_grid_kernel_batch(
+        permuted = sinr_grid_kernel(
             self.PARAMS, [trial_seeds[i] for i in perm]
         )
         assert permuted == [results[i] for i in perm]
@@ -193,7 +259,7 @@ class TestTrialPermutationInvariance:
     @settings(max_examples=10, deadline=None)
     def test_batch_matches_scalar_map(self, master, n_trials):
         trial_seeds = [master + i for i in range(n_trials)]
-        batched = sinr_grid_kernel_batch(self.PARAMS, trial_seeds)
+        batched = sinr_grid_kernel(self.PARAMS, trial_seeds)
         assert batched == [
-            sinr_grid_kernel(self.PARAMS, s) for s in trial_seeds
+            sinr_grid_kernel(self.PARAMS, [s])[0] for s in trial_seeds
         ]

@@ -1,10 +1,17 @@
-"""Differential harness: every sweep kernel under every execution backend.
+"""Differential harness: every sweep kernel in-process, rechunked, pooled.
 
-Each workload below is a tiny configuration of one of the registered sweep
-runners.  For each (workload, backend) pair we assert that the backend
-reproduces the serial reference **bit for bit** — equality is checked on a
-SHA-256 digest of the canonical-JSON rendering of the full result payload,
-so a single ULP of drift anywhere fails the pair.
+Each workload below is a tiny configuration of one of the sweep runners.
+The reference is the in-process run at the engine's default chunk size;
+for each (workload, mode) pair we assert that the mode reproduces it **bit
+for bit** — equality is checked on a SHA-256 digest of the canonical-JSON
+rendering of the full result payload, so a single ULP of drift anywhere
+fails the pair.  The modes are ``chunk1`` (in-process, one trial per
+kernel call) and ``process`` (the process pool with two workers).
+
+The stacked kernels of fig6, fig9 and the SINR grid are also checked
+against per-seed scalar oracles kept in this file: running the sweep with
+the kernel replaced by its oracle, mapped over the chunk's seeds, must
+give the same digest.
 
 Cross-machine stability is pinned separately: a scalar aggregate of each
 serial payload is compared against ``tests/data/golden.json`` at rel=1e-9
@@ -16,13 +23,30 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.channel.models import random_channel_matrix
+from repro.constants import MAC_EFFICIENCY
+from repro.core.beamforming import (
+    snr_reduction_from_misalignment,
+    zero_forcing_precoder_wideband,
+)
+from repro.mac.rate import EffectiveSnrRateSelector
 from repro.obs.events import jsonable
-from repro.runtime import SweepError
+from repro.runtime import engine
+from repro.sim import experiments, fastsim
 from repro.sim.ablations import run_sync_strategy_ablation
 from repro.sim.experiments import run_fig6, run_fig8, run_fig9, run_fig11
-from repro.sim.fastsim import run_sinr_grid
+from repro.sim.fastsim import (
+    build_channel_tensor,
+    draw_band_snrs,
+    joint_zf_sinr_db,
+    run_sinr_grid,
+    unicast_snr_db,
+)
+from repro.utils.rng import ensure_rng
+from repro.utils.units import db_to_linear, linear_to_db
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "data" / "golden.json").read_text()
@@ -110,38 +134,32 @@ WORKLOADS = {
     "sync_ablation": _sync_ablation,
 }
 
-# Workloads whose kernels have a registered batched twin.
-BATCHED_WORKLOADS = ("sinr_grid", "fig6", "fig9")
-
-BACKEND_KWARGS = {
-    "thread": {"backend": "thread", "workers": 2},
-    "process": {"backend": "process", "workers": 2},
-    "auto": {"backend": "auto", "workers": 2},
-    "batched": {"backend": "batched"},
+# Modes: name -> (runner kwargs, engine default chunk size or None).
+MODES = {
+    "chunk1": ({}, 1),
+    "process": ({"workers": 2}, None),
 }
 
-PAIRS = [
-    (workload, backend)
-    for workload in WORKLOADS
-    for backend in ("thread", "process", "auto")
-] + [(workload, "batched") for workload in BATCHED_WORKLOADS]
+PAIRS = [(workload, mode) for workload in WORKLOADS for mode in MODES]
 
 _serial_cache: dict = {}
 
 
 def serial_payload(workload: str):
     if workload not in _serial_cache:
-        _serial_cache[workload] = WORKLOADS[workload](backend="serial")
+        _serial_cache[workload] = WORKLOADS[workload]()
     return _serial_cache[workload]
 
 
 @pytest.mark.parametrize(
-    "workload,backend", PAIRS, ids=[f"{w}-{b}" for w, b in PAIRS]
+    "workload,mode", PAIRS, ids=[f"{w}-{m}" for w, m in PAIRS]
 )
-def test_backend_reproduces_serial_digest(workload, backend):
+def test_backend_reproduces_serial_digest(workload, mode, monkeypatch):
     reference = digest(serial_payload(workload))
-    result = WORKLOADS[workload](**BACKEND_KWARGS[backend])
-    assert digest(result) == reference
+    kwargs, chunk_size = MODES[mode]
+    if chunk_size is not None:
+        monkeypatch.setattr(engine, "DEFAULT_CHUNK_SIZE", chunk_size)
+    assert digest(WORKLOADS[workload](**kwargs)) == reference
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -150,35 +168,122 @@ def test_serial_aggregate_matches_golden(workload):
     assert aggregate(serial_payload(workload)) == pytest.approx(expected, rel=1e-9)
 
 
-def test_batched_backend_requires_registered_twin():
-    with pytest.raises(SweepError, match="batched"):
-        run_fig8(
-            seed=3,
-            n_receivers=(2,),
-            n_topologies=2,
-            n_packets=1,
-            backend="batched",
+# ---------------------------------------------------------------------------
+# Scalar oracles: one trial per seed, per-subcarrier and per-client loops.
+# ---------------------------------------------------------------------------
+
+
+def sinr_grid_oracle(params, seed):
+    rng = ensure_rng(seed)
+    n = params["n"]
+    error_model = params["error_model"]
+    snrs = draw_band_snrs(tuple(params["band"]), n, n, rng)
+    channels = build_channel_tensor(snrs, rng)
+    est = error_model.corrupt_estimate(channels, snrs, rng)
+    errors = error_model.phase_errors(n, rng)
+    sinr_db = joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
+    return {
+        "mean_sinr_db": float(np.mean(sinr_db)),
+        "min_sinr_db": float(np.min(sinr_db)),
+        "max_sinr_db": float(np.max(sinr_db)),
+    }
+
+
+def fig6_oracle(params, seed):
+    h = random_channel_matrix(params["n_rx"], params["n_tx"], rng=ensure_rng(seed))
+    return [
+        [float(np.mean(snr_reduction_from_misalignment(h, m, snr)))
+         for m in params["misalignments"]]
+        for snr in params["snrs_db"]
+    ]
+
+
+def _screened_channels_oracle(n, rng, max_penalty_db, max_attempts=100):
+    best_channels, best_penalty = None, np.inf
+    for _ in range(max_attempts):
+        channels = build_channel_tensor(draw_band_snrs((19.0, 21.0), n, n, rng), rng)
+        if max_penalty_db is None:
+            return channels
+        _, k = zero_forcing_precoder_wideband(channels)
+        best = float(np.mean(np.max(np.mean(np.abs(channels) ** 2, axis=0), axis=1)))
+        penalty = float(linear_to_db(best) - linear_to_db(k**2))
+        if penalty <= max_penalty_db:
+            return channels
+        if penalty < best_penalty:
+            best_channels, best_penalty = channels, penalty
+    return best_channels
+
+
+def fig9_oracle(params, seed):
+    rng = ensure_rng(seed)
+    n = params["n"]
+    band = params["band"]
+    error_model = params["error_model"]
+    selector = EffectiveSnrRateSelector(
+        params["sample_rate"], mac_efficiency=MAC_EFFICIENCY
+    )
+    channels = _screened_channels_oracle(n, rng, params["max_penalty_db"])
+    _, k = zero_forcing_precoder_wideband(channels)
+    target_db = float(rng.uniform(band[0], band[1]))
+    channels = channels * np.sqrt(db_to_linear(target_db) / k**2)
+    link_snrs_db = linear_to_db(np.mean(np.abs(channels) ** 2, axis=0))
+    est = error_model.corrupt_estimate(channels, link_snrs_db, rng)
+    errors = error_model.phase_errors(n, rng)
+    sinr_db = joint_zf_sinr_db(channels, phase_errors=errors, est_channels=est)
+    stream_rates = np.array([selector.goodput(sinr_db[c]) for c in range(n)])
+    best_ap = np.argmax(link_snrs_db, axis=1)
+    unicast_rates = np.array(
+        [selector.goodput(unicast_snr_db(channels, c, int(best_ap[c])))
+         for c in range(n)]
+    )
+    baseline_per_client = unicast_rates / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(
+            baseline_per_client > 0,
+            stream_rates / np.maximum(baseline_per_client, 1e-9),
+            np.nan,
         )
+    return {
+        "megamimo_bps": float(np.sum(stream_rates)),
+        "baseline_bps": float(np.mean(unicast_rates)),
+        "gains": g[np.isfinite(g)].tolist(),
+    }
+
+
+# workload -> (module, kernel name, per-seed oracle)
+ORACLES = {
+    "sinr_grid": (fastsim, "sinr_grid_kernel", sinr_grid_oracle),
+    "fig6": (experiments, "fig6_kernel", fig6_oracle),
+    "fig9": (experiments, "fig9_kernel", fig9_oracle),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ORACLES))
+def test_kernel_matches_scalar_oracle(workload, monkeypatch):
+    reference = digest(serial_payload(workload))
+    module, name, oracle = ORACLES[workload]
+    monkeypatch.setattr(
+        module, name, lambda params, seeds: [oracle(params, s) for s in seeds]
+    )
+    assert digest(WORKLOADS[workload]()) == reference
 
 
 def test_batched_checkpoint_resume_mid_sweep(tmp_path):
-    """Kill a batched sweep mid-flight; the resume must be bit-identical."""
+    """Kill a sweep mid-flight; the resume must be bit-identical."""
     ck = tmp_path / "grid.jsonl"
-    fresh = _sinr_grid(backend="batched", checkpoint=str(ck))
+    fresh = _sinr_grid(checkpoint=str(ck))
     lines = ck.read_text().splitlines()
     assert len(lines) > 2  # header + at least two chunk records
     ck.write_text("\n".join(lines[:2]) + "\n")
-    resumed = _sinr_grid(backend="batched", checkpoint=str(ck), resume=True)
+    resumed = _sinr_grid(checkpoint=str(ck), resume=True)
     assert digest(resumed) == digest(fresh) == digest(serial_payload("sinr_grid"))
 
 
-def test_serial_checkpoint_resumes_under_thread_backend(tmp_path):
-    """Chunk geometry matches across serial/thread, so checkpoints transfer."""
+def test_in_process_checkpoint_resumes_on_the_pool(tmp_path):
+    """Chunk geometry does not depend on ``workers``, so checkpoints transfer."""
     ck = tmp_path / "grid.jsonl"
-    _sinr_grid(backend="serial", checkpoint=str(ck))
+    _sinr_grid(checkpoint=str(ck))
     lines = ck.read_text().splitlines()
     ck.write_text("\n".join(lines[:2]) + "\n")
-    resumed = _sinr_grid(
-        backend="thread", workers=2, checkpoint=str(ck), resume=True
-    )
+    resumed = _sinr_grid(workers=2, checkpoint=str(ck), resume=True)
     assert digest(resumed) == digest(serial_payload("sinr_grid"))

@@ -13,10 +13,17 @@ docs/parallelism.md.
 """
 
 import numpy as np
+import pytest
 
-from repro.runtime import CellSpec, run_sweep
+from repro.runtime import CellSpec, engine, run_sweep
 from repro.sim.ablations import run_sync_strategy_ablation
 from repro.sim.experiments import fig6_kernel, run_fig6, run_fig9
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Two trials per chunk, so a small sweep checkpoints several chunks."""
+    monkeypatch.setattr(engine, "DEFAULT_CHUNK_SIZE", 2)
 
 
 def assert_same_arrays(a, b):
@@ -31,11 +38,12 @@ class TestFig6:
         pooled = run_fig6(seed=1, n_channels=10, workers=4)
         assert_same_arrays(serial.reduction_db, pooled.reduction_db)
 
-    def test_resumed_matches_fresh_bitwise(self, tmp_path):
+    def test_resumed_matches_fresh_bitwise(self, tmp_path, small_chunks):
         ck = tmp_path / "fig6.jsonl"
         fresh = run_fig6(seed=1, n_channels=10, checkpoint=str(ck))
         # keep only the header + first completed chunk, as if killed early
         lines = ck.read_text().splitlines()
+        assert len(lines) >= 3  # header + at least two chunks
         ck.write_text("\n".join(lines[:2]) + "\n")
         resumed = run_fig6(seed=1, n_channels=10, checkpoint=str(ck),
                            resume=True, workers=2)
@@ -85,7 +93,7 @@ class TestSyncAblation:
         pooled = run_sync_strategy_ablation(seed=7, n_systems=3, workers=4)
         assert_same_arrays(serial.misalignment_rad, pooled.misalignment_rad)
 
-    def test_resumed_matches_fresh_bitwise(self, tmp_path):
+    def test_resumed_matches_fresh_bitwise(self, tmp_path, small_chunks):
         ck = tmp_path / "sync.jsonl"
         fresh = run_sync_strategy_ablation(seed=7, n_systems=5,
                                            checkpoint=str(ck))

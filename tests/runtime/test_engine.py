@@ -1,34 +1,35 @@
 """Unit tests of the sweep engine: chunking, assembly, checkpointing,
-backend resolution and the batched/thread execution paths."""
+batched chunk execution and the in-process/pool choice."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.runtime import (
-    POOL_MIN_TRIALS,
     CellSpec,
     CheckpointMismatch,
     SweepError,
     assemble_results,
-    batched_kernel_for,
     iter_chunks,
     load_completed,
-    register_batched_kernel,
-    resolve_backend,
     run_chunk,
-    run_chunk_batched,
     run_sweep,
+    seed_sequence,
     sweep_header,
 )
-from repro.runtime import engine
 
 
-def mean_kernel(params, seed):
-    """Picklable toy kernel: a seeded draw scaled by the cell's params."""
+def draw(params, seed):
+    """One trial of the toy sweep: a seeded draw scaled by the cell's params."""
     rng = np.random.default_rng(seed)
     return float(params["scale"] * rng.standard_normal())
+
+
+def mean_kernel(params, seeds):
+    """Picklable toy kernel: one :func:`draw` per seed."""
+    return [draw(params, s) for s in seeds]
 
 
 CELLS = [
@@ -133,103 +134,70 @@ class TestCheckpoint:
         assert all(rec["type"] == "chunk" for rec in records[1:])
 
 
-def mean_kernel_batch(params, seeds):
-    """Faithful batched twin of :func:`mean_kernel`."""
-    return [mean_kernel(params, s) for s in seeds]
+def short_kernel(params, seeds):
+    return mean_kernel(params, seeds)[:-1]
 
 
-def broken_batch(params, seeds):
-    raise FloatingPointError("stacked matrix went singular")
-
-
-def short_batch(params, seeds):
-    return [mean_kernel(params, s) for s in seeds][:-1]
-
-
-@pytest.fixture
-def mean_batch_registered():
-    register_batched_kernel(mean_kernel, mean_kernel_batch)
-    yield
-    engine._BATCHED_KERNELS.pop(mean_kernel, None)
-
-
-class TestResolveBackend:
-    def test_none_keeps_legacy_semantics(self):
-        assert resolve_backend(None, mean_kernel, 1, 1000) == "serial"
-        assert resolve_backend(None, mean_kernel, 4, 1) == "process"
-
-    def test_literal_backends_pass_through(self):
-        for mode in ("serial", "thread", "process"):
-            assert resolve_backend(mode, mean_kernel, 2, 10) == mode
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu", mean_kernel, 1, 10)
-
-    def test_batched_without_twin_rejected(self):
-        assert batched_kernel_for(mean_kernel) is None
-        with pytest.raises(SweepError, match="register_batched_kernel"):
-            resolve_backend("batched", mean_kernel, 1, 10)
-
-    def test_auto_prefers_batched_twin(self, mean_batch_registered):
-        # a registered twin wins even on one core with one worker
-        assert resolve_backend("auto", mean_kernel, 1, 1) == "batched"
-        assert resolve_backend("auto", mean_kernel, 8, 10**6) == "batched"
-
-    def test_auto_pool_needs_cores_and_trials(self, monkeypatch):
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 4)
-        assert (
-            resolve_backend("auto", mean_kernel, 4, POOL_MIN_TRIALS)
-            == "process"
-        )
-        # too few trials to amortize dispatch envelopes
-        assert (
-            resolve_backend("auto", mean_kernel, 4, POOL_MIN_TRIALS - 1)
-            == "serial"
-        )
-        assert resolve_backend("auto", mean_kernel, 1, 10**6) == "serial"
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
-        assert resolve_backend("auto", mean_kernel, 4, 10**6) == "serial"
+def worker_pid_kernel(params, seeds):
+    """Reports the process each trial ran in."""
+    return [os.getpid() for _ in seeds]
 
 
 class TestBatchedExecution:
-    def test_matches_serial(self, mean_batch_registered):
-        serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
-        batched = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
-                            backend="batched")
-        assert batched.results == serial.results
-        assert batched.chunk_failures == 0
-
-    def test_run_sweep_rejects_unregistered_batched(self):
-        with pytest.raises(SweepError, match="batched"):
-            run_sweep("unit", mean_kernel, CELLS, master_seed=5,
-                      backend="batched")
+    def test_matches_serial(self):
+        """Chunks of any size reproduce drawing each trial's seed alone."""
+        expected = [
+            [draw(cell.params, seed_sequence(5, "unit", c, t))
+             for t in range(cell.n_trials)]
+            for c, cell in enumerate(CELLS)
+        ]
+        for chunk_size in (1, 3, 32):
+            r = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
+                          chunk_size=chunk_size)
+            assert r.results == expected
+            assert r.chunk_failures == 0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(SweepError, match="3 results for 4 seeds"):
-            run_chunk_batched(short_batch, "unit", 0, {"scale": 1.0}, 0, 0, 4)
+            run_chunk(short_kernel, "unit", 0, {"scale": 1.0}, 0, 0, 4)
 
     def test_failed_chunk_retries_serially(self):
-        register_batched_kernel(mean_kernel, broken_batch)
-        try:
-            serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
-            degraded = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
-                                 chunk_size=4, backend="batched")
-        finally:
-            engine._BATCHED_KERNELS.pop(mean_kernel, None)
-        assert degraded.results == serial.results
-        assert degraded.chunk_failures == len(
-            [c for cell in CELLS for c in iter_chunks(cell.n_trials, 4)]
-        )
+        calls = []
 
+        def flaky_kernel(params, seeds):
+            """Fails on its first call, then behaves."""
+            calls.append(len(seeds))
+            if len(calls) == 1:
+                raise FloatingPointError("stacked matrix went singular")
+            return mean_kernel(params, seeds)
 
-class TestThreadBackend:
-    def test_matches_serial(self):
         serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
-        threaded = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
-                             workers=2, backend="thread")
-        assert threaded.results == serial.results
-        assert threaded.chunk_failures == 0
+        degraded = run_sweep("unit", flaky_kernel, CELLS, master_seed=5,
+                             chunk_size=4)
+        assert degraded.results == serial.results
+        assert degraded.chunk_failures == 1
+
+
+class TestWorkersSelectExecution:
+    def test_one_worker_runs_in_process(self):
+        r = run_sweep("unit", worker_pid_kernel, CELLS, master_seed=5)
+        assert {pid for cell in r.results for pid in cell} == {os.getpid()}
+        assert set(r.overhead["modes"]) == {"serial"}
+
+    def test_many_workers_use_the_pool(self):
+        r = run_sweep("unit", worker_pid_kernel, CELLS, master_seed=5,
+                      workers=2, chunk_size=2)
+        pids = {pid for cell in r.results for pid in cell}
+        assert os.getpid() not in pids
+        assert set(r.overhead["modes"]) == {"pool"}
+        assert r.overhead["workers"] == 2
+
+    def test_pool_matches_in_process(self):
+        serial = run_sweep("unit", mean_kernel, CELLS, master_seed=5)
+        pooled = run_sweep("unit", mean_kernel, CELLS, master_seed=5,
+                           workers=2)
+        assert pooled.results == serial.results
+        assert pooled.chunk_failures == 0
 
 
 class TestValidation:

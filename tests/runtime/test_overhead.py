@@ -21,10 +21,12 @@ from repro.runtime import (
 )
 
 
-def mean_kernel(params, seed):
-    """Picklable toy kernel: a seeded draw scaled by the cell's params."""
-    rng = np.random.default_rng(seed)
-    return float(params["scale"] * rng.standard_normal())
+def mean_kernel(params, seeds):
+    """Picklable toy kernel: one seeded draw per seed, scaled by the params."""
+    return [
+        float(params["scale"] * np.random.default_rng(seed).standard_normal())
+        for seed in seeds
+    ]
 
 
 CELLS = [

@@ -1,9 +1,9 @@
-"""Smoke tests of scripts/bench_sweeps.py, including the batched CI gate.
+"""Smoke tests of scripts/bench_sweeps.py: the record and the speedup gate.
 
-The ``--check-batched-speedup`` gate is the repo's performance floor for
-the vectorized backend: fastsim SINR grid >= 5x over serial, in-process,
-on any machine (cores-independent).  Running it here keeps the gate from
-silently rotting between CI bench jobs.
+The script times each workload in-process and on the process pool, refuses
+to record a run whose two legs disagree bit for bit, and can gate the fig9
+pool speedup.  Running it here keeps the record format and the gate's
+failure modes from silently rotting between CI bench jobs.
 """
 
 import importlib.util
@@ -29,69 +29,58 @@ def script():
     return load_script()
 
 
-class TestBatchedGate:
+class TestRecord:
     @pytest.fixture(scope="class")
-    def gate_run(self, script, tmp_path_factory):
-        """One gated quick run of the fastsim grid, shared by the asserts."""
+    def quick_run(self, script, tmp_path_factory):
+        """One quick in-process + pool run of the fastsim grid."""
         out = tmp_path_factory.mktemp("bench") / "bench.json"
         rc = script.main([
             "--quick", "--workloads", "fastsim_grid", "--no-ledger",
-            "--skip-parallel", "--repeats", "2", "--check-batched-speedup",
-            "--output", str(out),
+            "--workers", "2", "--output", str(out),
         ])
         doc = json.loads(out.read_text())
         return rc, doc["runs"][-1]["workloads"][0]
 
-    def test_gate_passes(self, gate_run):
-        rc, entry = gate_run
-        assert rc == 0
-        assert entry["batched_speedup"] >= 5.0
-
-    def test_record_fields(self, gate_run):
-        _, entry = gate_run
+    def test_pool_leg_matches_in_process(self, quick_run):
+        rc, entry = quick_run
+        assert rc == 0  # a digest mismatch exits with an error instead
         assert entry["workload"] == "fastsim_grid"
-        assert entry["repeats"] == 2
-        assert entry["serial_s"] > 0
-        assert 0 < entry["batched_s"] < entry["serial_s"]
-        # --skip-parallel leaves the pool leg unmeasured, not zeroed
-        assert entry["parallel_s"] is None and entry["speedup"] is None
+        assert entry["workers"] == 2
+        assert entry["serial_s"] > 0 and entry["parallel_s"] > 0
+        assert entry["speedup"] == pytest.approx(
+            entry["serial_s"] / entry["parallel_s"], rel=1e-2
+        )
         assert entry["result_sha256"]
 
-    def test_batched_overhead_breakdown(self, gate_run):
-        _, entry = gate_run
-        overhead = entry["batched_overhead"]
-        assert overhead["sweeps"] >= 1
-        assert 0 < overhead["utilization"] <= 1.0
-        assert 0 <= overhead["dispatch_frac"] < 1.0
-        assert 0 <= overhead["serialization_frac"] < 1.0
+    def test_overhead_breakdowns(self, quick_run):
+        _, entry = quick_run
+        assert entry["overhead"]["sweeps"] >= 1
+        assert 0 < entry["overhead"]["utilization"] <= 1.0
+        assert entry["serial_overhead"]["dispatch_frac"] == pytest.approx(0.0, abs=0.05)
 
-    def test_ledger_metrics_include_batched(self, script, gate_run):
-        _, entry = gate_run
+    def test_ledger_metrics(self, script, quick_run):
+        _, entry = quick_run
         metrics = script.ledger_metrics({"workloads": [entry]})
-        assert metrics["bench.fastsim_grid.batched_s"] == entry["batched_s"]
-        assert (metrics["bench.fastsim_grid.batched_speedup"]
-                == entry["batched_speedup"])
-        assert "bench.fastsim_grid.batched_utilization" in metrics
-        assert "bench.fastsim_grid.batched_dispatch_frac" in metrics
-        # no parallel leg ran, so no parallel metrics may appear
-        assert "bench.fastsim_grid.parallel_s" not in metrics
-        assert "bench.fastsim_grid.speedup" not in metrics
+        assert metrics["bench.fastsim_grid.serial_s"] == entry["serial_s"]
+        assert metrics["bench.fastsim_grid.parallel_s"] == entry["parallel_s"]
+        assert metrics["bench.fastsim_grid.speedup"] == entry["speedup"]
+        assert "bench.fastsim_grid.utilization" in metrics
 
 
 class TestGateFailureModes:
-    def test_gate_fails_below_floor(self, script, tmp_path):
+    def test_gate_fails_below_floor(self, script, tmp_path, monkeypatch):
+        monkeypatch.setattr(script, "_usable_cpus", lambda: 2)
         rc = script.main([
-            "--quick", "--workloads", "fastsim_grid", "--no-ledger",
-            "--skip-parallel", "--check-batched-speedup",
-            "--min-batched-speedup", "1e9",
+            "--quick", "--workloads", "fig9", "--no-ledger", "--workers", "2",
+            "--check-speedup", "--min-speedup", "1e9",
             "--output", str(tmp_path / "bench.json"),
         ])
         assert rc == 1
 
-    def test_gate_requires_grid_workload(self, script, tmp_path, capsys):
+    def test_gate_requires_fig9_workload(self, script, tmp_path, capsys):
         rc = script.main([
             "--quick", "--workloads", "fig6", "--no-ledger",
-            "--skip-parallel", "--check-batched-speedup",
+            "--skip-parallel", "--check-speedup",
             "--output", str(tmp_path / "bench.json"),
         ])
         assert rc == 2
