@@ -12,6 +12,8 @@ classic Clarke/Jakes fading model:
   autocorrelation (pessimistic at short lags, kept for comparisons);
 * ``TimeVaryingLinkChannel`` — a link whose taps evolve, compatible with
   :class:`~repro.channel.medium.Medium`;
+* ``JakesLinkStack`` — a grid of Jakes-faded links stacked once and
+  evaluated at an instant in one broadcast pass;
 * ``channel_correlation`` — maps elapsed time to expected correlation,
   used by the staleness analysis in :mod:`repro.sim.overhead`.
 
@@ -25,7 +27,7 @@ the paper's environment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import j0
@@ -209,3 +211,42 @@ class TimeVaryingLinkChannel:
         """Convolve with the response at time ``t`` (packets are far shorter
         than the coherence time, so one snapshot per packet suffices)."""
         return self.snapshot(t).apply(samples)
+
+
+class JakesLinkStack:
+    """A (rows, cols) grid of Jakes-faded links evaluated in one pass.
+
+    Every link's fader angles, phases and scales, static taps and faded
+    scales are stacked once; :meth:`taps_at` then realizes all links' taps
+    with one broadcast ``exp``/``sum``, bit-identical to each link's own
+    :meth:`TimeVaryingLinkChannel.taps_at`.
+
+    Args:
+        links: Equally long rows of :class:`TimeVaryingLinkChannel` built
+            with Jakes faders, all with the same tap and path counts.
+    """
+
+    def __init__(self, links: Sequence[Sequence[TimeVaryingLinkChannel]]):
+        flat = [link for row in links for link in row]
+        faders = [fader for link in flat for fader in link.faders]
+        require(
+            all(type(fader) is JakesFader for fader in faders),
+            "stacked evaluation supports Jakes faders only",
+        )
+        n_taps = len(flat[0].faders)
+        require(
+            all(len(link.faders) == n_taps for link in flat),
+            "links must share a tap count",
+        )
+        grid = (len(links), len(links[0]), n_taps)
+        self._omegas = np.array([f._omegas for f in faders]).reshape(grid + (-1,))
+        self._phases = np.array([f._phases for f in faders]).reshape(grid + (-1,))
+        self._scale = np.array([f._scale for f in faders]).reshape(grid)
+        self._static = np.array([link.static_taps for link in flat]).reshape(grid)
+        self._faded_scale = np.array([link.faded_scale for link in flat]).reshape(grid)
+
+    def taps_at(self, t: float) -> np.ndarray:
+        """(rows, cols, n_taps) impulse responses at absolute time ``t``."""
+        paths = np.exp(1j * (self._omegas * t + self._phases))
+        faded = self._scale * np.sum(paths, axis=-1)
+        return self._static + self._faded_scale * faded

@@ -8,7 +8,8 @@ transmission with this packet in order to maximize the network throughput."
 The paper leaves the grouping heuristic open ([43, 33, 42]); we implement
 the natural greedy rule — walk the queue in FIFO order and admit the first
 packet of each distinct client until the stream budget (total AP antennas)
-is filled — plus a hook for custom heuristics.
+is filled, i.e. the ``max_streams`` earliest per-client fronts — plus a
+hook for custom heuristics.
 """
 
 from __future__ import annotations
@@ -69,23 +70,16 @@ class JointScheduler:
         The selected packets are removed from the queue; unACKed packets
         should be handed back via ``queue.requeue``.
         """
-        head = self.queue.head()
-        if head is None:
+        fronts = self.queue.fronts(self.max_streams)
+        if not fronts:
             return None
-        candidates = [p for p in self.queue if p is not head]
+        head = fronts[0]
         if self.grouping is not None:
+            candidates = [p for p in self.queue if p is not head]
             chosen = self.grouping(head, candidates, self.max_streams)
             require(head in chosen, "grouping must include the head packet")
         else:
-            chosen = [head]
-            seen = {head.client}
-            for packet in candidates:
-                if len(chosen) >= self.max_streams:
-                    break
-                if packet.client in seen:
-                    continue
-                chosen.append(packet)
-                seen.add(packet.client)
+            chosen = fronts
         for packet in chosen:
             self.queue.remove(packet)
         return TransmissionGroup(lead_ap=head.designated_ap, packets=chosen)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.channel.timevarying import TimeVaryingLinkChannel
+from repro.channel.timevarying import JakesLinkStack, TimeVaryingLinkChannel
 from repro.constants import (
     COHERENCE_TIME_S,
     MAC_EFFICIENCY,
@@ -36,7 +36,11 @@ from repro.mac.rate import EffectiveSnrRateSelector
 from repro.mac.scheduler import JointScheduler
 from repro.obs import metrics, timeseries, trace
 from repro.phy.mcs import Mcs
-from repro.sim.fastsim import SyncErrorModel
+from repro.sim.fastsim import (
+    SyncErrorModel,
+    joint_zf_sinr_db,
+    taps_to_channel_tensor,
+)
 from repro.sim.overhead import packet_airtime_s, sounding_airtime_s
 from repro.utils.rng import ensure_rng
 from repro.utils.units import db_to_linear, linear_to_db
@@ -221,6 +225,9 @@ class DownlinkSimulator:
             ]
             for _ in range(config.n_clients)
         ]
+        self._channels = JakesLinkStack(self._links)
+        self._tensor_at: Optional[float] = None
+        self._tensor: Optional[np.ndarray] = None
         snr_map = np.array(
             [
                 [linear_to_db(self._links[c][a].gain) for a in range(config.n_aps)]
@@ -259,14 +266,17 @@ class DownlinkSimulator:
     # -- channel bookkeeping -------------------------------------------------
 
     def _channel_tensor(self, t: float) -> np.ndarray:
-        """(N_BINS, n_clients, n_aps) channel snapshot at time ``t``."""
-        cfg = self.config
-        out = np.empty((self.N_BINS, cfg.n_clients, cfg.n_aps), dtype=complex)
-        for c in range(cfg.n_clients):
-            for a in range(cfg.n_aps):
-                response = self._links[c][a].snapshot(t).frequency_response(64)
-                out[:, c, a] = response[: self.N_BINS]
-        return out
+        """(N_BINS, n_clients, n_aps) channel snapshot at time ``t``.
+
+        All links are realized in one stacked pass and the read-only result
+        is kept for the instant, so a sounding or a whole burst shares it.
+        """
+        if self._tensor_at != t:
+            taps = self._channels.taps_at(t)
+            tensor = np.ascontiguousarray(taps_to_channel_tensor(taps, self.N_BINS))
+            tensor.flags.writeable = False
+            self._tensor_at, self._tensor = t, tensor
+        return self._tensor
 
     def _sound(self, t: float) -> None:
         """Run a channel-measurement phase: store estimates, pick the MCS."""
@@ -311,23 +321,47 @@ class DownlinkSimulator:
             self._streak = 0
             self._select_mcs()
 
-    def _stream_success(self, t: float, client: int) -> bool:
-        """Whether ``client``'s stream decodes, given staleness + sync error.
+    def _burst_outcomes(self, t: float, clients: List[int]) -> List[bool]:
+        """Whether each stream of a burst decodes, given staleness + sync error.
+
+        Every packet's slave phase errors are drawn up front, in packet
+        order, and one stacked SINR call covers the burst.  The MCS check
+        stays sequential because each outcome feeds the rate adaptation.
+        If that drops the rate below the MCS floor mid-burst, the remaining
+        streams fail undrawn, so the generator is rewound past their draws.
+        """
+        states, errors = [], []
+        for _ in clients:
+            errors.append(self.error_model.phase_errors(self.config.n_aps, self._rng))
+            states.append(self._rng.bit_generator.state)
+        sinr = joint_zf_sinr_db(
+            self._channel_tensor(t),
+            phase_errors=np.array(errors),
+            est_channels=self._sounded_channels,
+        )
+        outcomes: List[bool] = []
+        evaluated = 0
+        for i, client in enumerate(clients):
+            success = False
+            if self._mcs is not None:
+                success = self._stream_success(t, client, errors[i], sinr[i])
+                evaluated += 1
+            outcomes.append(success)
+            self._record_outcome(success)
+        if evaluated < len(clients):
+            self._rng.bit_generator.state = states[evaluated - 1]
+        return outcomes
+
+    def _stream_success(
+        self, t: float, client: int, errors: np.ndarray, sinr: np.ndarray
+    ) -> bool:
+        """Whether ``client``'s stream decodes at the current MCS.
 
         Each call models one packet's distributed phase synchronization, so
         it emits one ``phase_sync`` span carrying the drawn slave phase
         errors and the resulting effective SINR.
         """
-        if self._mcs is None:
-            return False
         with trace.span("phase_sync", client=client, t=t) as span:
-            true = self._channel_tensor(t)
-            from repro.sim.fastsim import joint_zf_sinr_db
-
-            errors = self.error_model.phase_errors(self.config.n_aps, self._rng)
-            sinr = joint_zf_sinr_db(
-                true, phase_errors=errors, est_channels=self._sounded_channels
-            )
             eff = float(np.mean(sinr[client]))
             success = eff >= self._mcs.min_snr_db
             max_err = float(np.max(np.abs(errors)))
@@ -491,10 +525,9 @@ class DownlinkSimulator:
                 mcs=self._mcs.name, airtime_s=tx_time,
             ) as burst_span:
                 n_delivered = 0
-                for packet in group.packets:
+                outcomes = self._burst_outcomes(now, group.clients)
+                for packet, success in zip(group.packets, outcomes):
                     n_tx += 1
-                    success = self._stream_success(now, packet.client)
-                    self._record_outcome(success)
                     log(now, "deliver" if success else "fail",
                         f"client{packet.client}")
                     if success:
@@ -504,12 +537,12 @@ class DownlinkSimulator:
                         delivered.append(
                             DeliveredPacket(
                                 client=packet.client,
-                                arrival_time=self._arrival_times.get(packet.seqno, 0.0),
+                                arrival_time=self._arrival_times.pop(packet.seqno),
                                 delivery_time=now,
                                 retries=packet.retries,
                             )
                         )
-                    if not success:
+                    else:
                         n_fail += 1
                         self._m_failures.inc()
                         self._m_retries.inc()

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.timevarying import (
     GaussMarkovFader,
     JakesFader,
+    JakesLinkStack,
     TimeVaryingLinkChannel,
     channel_correlation,
     doppler_from_coherence,
 )
+from repro.mac.simulator import DownlinkSimulator, LinkLayerConfig
+from repro.sim.fastsim import taps_to_channel_tensor
 
 
 class TestCorrelationModels:
@@ -150,3 +154,82 @@ class TestTimeVaryingLink:
         assert np.allclose(early, link.taps_at(0.0)[0], atol=1e-9)
         assert np.allclose(late, link.taps_at(0.05)[0], atol=1e-9)
         assert not np.allclose(early, late)
+
+
+def loop_tensor(links, t, n_bins):
+    """Per-link oracle: one snapshot FFT per link, stacked by hand."""
+    out = np.empty((n_bins, len(links), len(links[0])), dtype=complex)
+    for c, row in enumerate(links):
+        for a, link in enumerate(row):
+            out[:, c, a] = link.snapshot(t).frequency_response(64)[:n_bins]
+    return out
+
+
+times = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-3),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 1e3),
+)
+
+
+class TestJakesLinkStack:
+    @given(
+        seed=st.integers(0, 2**31),
+        n_rows=st.integers(1, 6),
+        n_cols=st.integers(1, 6),
+        n_taps=st.integers(1, 3),
+        rician_k=st.floats(0.0, 10.0),
+        t=times,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_link_loop(self, seed, n_rows, n_cols, n_taps, rician_k, t):
+        rng = np.random.default_rng(seed)
+        links = [
+            [
+                TimeVaryingLinkChannel.create(
+                    float(rng.uniform(0.1, 1e3)),
+                    coherence_time_s=float(rng.uniform(1e-3, 1.0)),
+                    n_taps=n_taps,
+                    rician_k=rician_k,
+                    rng=rng,
+                )
+                for _ in range(n_cols)
+            ]
+            for _ in range(n_rows)
+        ]
+        taps = JakesLinkStack(links).taps_at(t)
+        assert taps.shape == (n_rows, n_cols, n_taps)
+        stacked = taps_to_channel_tensor(taps, DownlinkSimulator.N_BINS)
+        assert np.array_equal(stacked, loop_tensor(links, t, DownlinkSimulator.N_BINS))
+
+    @given(
+        seed=st.integers(0, 2**31),
+        n_aps=st.integers(1, 5),
+        n_clients=st.integers(1, 5),
+        t=times,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_simulator_tensor_matches_per_link_loop(self, seed, n_aps, n_clients, t):
+        n_clients = min(n_clients, n_aps)
+        sim = DownlinkSimulator(
+            LinkLayerConfig(n_aps=n_aps, n_clients=n_clients, seed=seed)
+        )
+        tensor = sim._channel_tensor(t)
+        assert np.array_equal(tensor, loop_tensor(sim._links, t, sim.N_BINS))
+        # kept for the instant, read-only
+        assert sim._channel_tensor(t) is tensor
+        assert not tensor.flags.writeable
+
+    def test_rejects_gauss_markov_faders(self):
+        links = [[TimeVaryingLinkChannel.create(1.0, rng=0, fader="gauss-markov")]]
+        with pytest.raises(ValueError, match="Jakes"):
+            JakesLinkStack(links)
+
+    def test_rejects_mixed_tap_counts(self):
+        links = [[
+            TimeVaryingLinkChannel.create(1.0, rng=0, n_taps=1),
+            TimeVaryingLinkChannel.create(1.0, rng=1, n_taps=2),
+        ]]
+        with pytest.raises(ValueError, match="tap count"):
+            JakesLinkStack(links)

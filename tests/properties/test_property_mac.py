@@ -1,8 +1,12 @@
 """Property-based tests of the link-layer invariants."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mac.grouping import GreedyFifoGrouping
 from repro.mac.queue import DownlinkQueue
 from repro.mac.rate import EffectiveSnrRateSelector, select_mcs_for_snr
 from repro.mac.scheduler import JointScheduler
@@ -66,6 +70,109 @@ class TestSchedulerInvariants:
             total += len(group.packets)
         assert total == len(clients)
         assert len(q) == 0
+
+
+class ListQueueModel:
+    """The shared queue as one list: the deque semantics it replaces."""
+
+    def __init__(self):
+        self.items = []
+
+    def remove(self, packet):
+        self.items.remove(packet)  # first equal packet, else ValueError
+
+    def pending_for(self, client):
+        return [p for p in self.items if p.client == client]
+
+    def next_group(self, budget, grouping):
+        if not self.items:
+            return None
+        head = self.items[0]
+        candidates = [p for p in self.items if p is not head]
+        if grouping is not None:
+            chosen = grouping(head, candidates, budget)
+        else:
+            chosen, seen = [head], {head.client}
+            for packet in candidates:
+                if len(chosen) >= budget:
+                    break
+                if packet.client not in seen:
+                    chosen.append(packet)
+                    seen.add(packet.client)
+        for packet in chosen:
+            self.remove(packet)
+        return head.designated_ap, chosen
+
+
+def tail_grouping(head, candidates, budget):
+    """Head plus the newest queued packet: removes from a FIFO's middle."""
+    return [head] + candidates[-1:] if budget > 1 else [head]
+
+
+N_MODEL_CLIENTS = 4
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["enqueue", "requeue", "remove", "remove_copy", "next_group"]
+        ),
+        st.integers(0, 10_000),
+    ),
+    max_size=60,
+)
+
+
+class TestQueueMatchesListModel:
+    @given(
+        ops=operations,
+        budget=st.integers(1, 5),
+        grouping=st.sampled_from([None, "fifo", "tail"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_observable_behaviour(self, ops, budget, grouping):
+        rule = {None: None, "fifo": GreedyFifoGrouping(), "tail": tail_grouping}
+        q = fresh_queue(n_clients=N_MODEL_CLIENTS, seed=5)
+        scheduler = JointScheduler(q, max_streams=budget, grouping=rule[grouping])
+        model = ListQueueModel()
+        known = []  # every packet ever created, queued or not
+        for op, pick in ops:
+            if op == "enqueue":
+                packet = q.enqueue(pick % N_MODEL_CLIENTS)
+                model.items.append(packet)
+                known.append(packet)
+            elif op == "requeue" and known:
+                packet = known[pick % len(known)]
+                retries = packet.retries
+                q.requeue(packet)  # may duplicate a still-queued packet
+                assert packet.retries == retries + 1
+                model.items.append(packet)
+            elif op in ("remove", "remove_copy") and known:
+                packet = known[pick % len(known)]
+                if op == "remove_copy":
+                    packet = dataclasses.replace(packet)  # equal, not identical
+                if packet in model.items:
+                    model.remove(packet)
+                    q.remove(packet)
+                else:
+                    with pytest.raises(ValueError):
+                        q.remove(packet)
+            elif op == "next_group":
+                expected = model.next_group(budget, rule[grouping])
+                group = scheduler.next_group()
+                if expected is None:
+                    assert group is None
+                else:
+                    lead_ap, chosen = expected
+                    assert group.lead_ap == lead_ap
+                    assert len(group.packets) == len(chosen)
+                    assert all(a is b for a, b in zip(group.packets, chosen))
+            assert len(q) == len(model.items)
+            assert all(a is b for a, b in zip(q, model.items))
+            assert q.head() is (model.items[0] if model.items else None)
+            for client in range(N_MODEL_CLIENTS):
+                got = q.pending_for(client)
+                want = model.pending_for(client)
+                assert len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want))
 
 
 class TestRateSelectorInvariants:
