@@ -14,6 +14,9 @@ end-to-end:
 * ``repro obs blackbox list`` sees the bundle and ``repro obs blackbox
   show --json`` round-trips it (flight-recorder records, all-thread
   stacks and the last progress snapshot included);
+* the bundle's flight-recorder ring holds the stall's
+  ``runtime.watchdog`` record exactly once and no ``series.sample`` or
+  ``bus.*`` fan-out copies;
 * the run's ledger record links the bundle as a critical alarm.
 
     python scripts/blackbox_smoke.py
@@ -95,8 +98,19 @@ def main() -> int:
         doc = json.loads(show.stdout)
         if doc.get("detail", {}).get("stalled_chunks", 0) < 1:
             failures.append("bundle detail records no stalled chunks")
-        if not doc.get("flightrec", {}).get("records"):
+        records = doc.get("flightrec", {}).get("records") or []
+        if not records:
             failures.append("bundle flight recorder is empty")
+        kinds = [r.get("kind", "") for r in records]
+        # one emit per datum: the stall is one ring record, and sampled
+        # metrics never crowd the ring
+        if kinds.count("runtime.watchdog") != 1:
+            failures.append(f"bundle ring holds {kinds.count('runtime.watchdog')} "
+                            "runtime.watchdog records, want exactly 1")
+        flood = sorted({k for k in kinds
+                        if k == "series.sample" or k.startswith("bus.")})
+        if flood:
+            failures.append(f"bundle ring holds fan-out copies: {flood}")
         if "Current thread" not in doc.get("stacks", ""):
             failures.append("bundle stacks.txt captured no threads")
         progress = doc.get("progress") or {}

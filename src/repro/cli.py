@@ -99,8 +99,7 @@ def _common_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--fail-on-alert", action="store_true",
-        help="exit 3 when any alert rule fired during the run "
-             "(requires --serve-port)",
+        help="exit 3 when any alert rule fired during the run",
     )
     group.add_argument(
         "-v", "--verbose", action="count", default=0,
@@ -455,7 +454,6 @@ def _run_ablation(args, ctx: RunContext) -> int:
 
 def _run_simulate(args, ctx: RunContext) -> int:
     from repro.mac.simulator import DownlinkSimulator, LinkLayerConfig
-    from repro.obs.regress import sync_health_alarms
 
     config = LinkLayerConfig(
         n_aps=args.n_aps,
@@ -482,8 +480,6 @@ def _run_simulate(args, ctx: RunContext) -> int:
     }
     ctx.master_seed = config.seed
     ctx.headline = sim_trace.headline()
-    # sync-health monitor: per-slave phase-error p95 vs. the paper's budget
-    ctx.alarms = sync_health_alarms()
     print(sim_trace.format_summary())
     return 0
 
@@ -731,11 +727,13 @@ def _run_obs_profile(args) -> int:
 
 
 def _run_obs_serve(args) -> int:
+    from repro.obs.alerts import AlertEngine, load_rules
     from repro.obs.serve import TelemetryServer
 
     try:
         server = TelemetryServer(
-            port=args.port, host=args.host, rules_path=args.alerts,
+            port=args.port, host=args.host,
+            engine=AlertEngine(load_rules(args.alerts)),
         ).start()
     except OSError as exc:
         logger.error("cannot start telemetry server: %s", exc)
@@ -937,36 +935,40 @@ def _main(argv: Optional[List[str]]) -> int:
             logger.error("cannot open trace file: %s", exc)
             return 1
         logger.info("tracing to %s", args.trace)
-    server = None
-    if args.command in RUN_COMMANDS and args.serve_port is not None:
-        from repro.obs.serve import TelemetryServer
-
-        try:
-            server = TelemetryServer(
-                port=args.serve_port, rules_path=args.alerts,
-            ).start()
-        except OSError as exc:
-            logger.error("cannot start telemetry server: %s", exc)
-            return 1
-        # the endpoint location is the whole point of the flag: always
-        # announce it (stderr, so stdout tables stay clean)
-        sys.stderr.write(f"serving live telemetry on {server.url}\n")
-        sys.stderr.flush()
     ctx = RunContext()
     started = time.time()
-    run_timer = metrics.timer("cli.command_s").start()
     status = "error"
     run_id: Optional[str] = None
-    guard = None
+    guard = engine = server = None
     is_run = args.command in RUN_COMMANDS
     if is_run:
+        from repro.obs import blackbox, timeseries
+        from repro.obs.alerts import AlertEngine, load_rules
+        from repro.obs.ledger import new_run_id
+
+        # One alert engine is the run's only budget verdict; it judges
+        # this run alone, so the run starts from empty telemetry.
+        metrics.reset()
+        timeseries.reset()
+        try:
+            engine = AlertEngine(load_rules(args.alerts))
+            if args.serve_port is not None:
+                from repro.obs.serve import TelemetryServer
+
+                server = TelemetryServer(port=args.serve_port, engine=engine)
+                server.start()
+        except (OSError, ValueError) as exc:
+            logger.error("cannot start the run's telemetry: %s", exc)
+            return 1
+        if server is not None:
+            # the endpoint location is the whole point of the flag: always
+            # announce it (stderr, so stdout tables stay clean)
+            sys.stderr.write(f"serving live telemetry on {server.url}\n")
+            sys.stderr.flush()
         # Crash forensics: mint the ledger run id *now* (not at record
         # time) so any bundle written mid-run — watchdog stall, signal,
         # unhandled exception — lands in runs/crash-<runid>/ with the
         # same id the ledger record will carry.
-        from repro.obs import blackbox
-        from repro.obs.ledger import new_run_id
-
         run_id = new_run_id(started)
         blackbox.set_run_context(
             run_id=run_id, command=args.command, argv=argv_list,
@@ -974,60 +976,49 @@ def _main(argv: Optional[List[str]]) -> int:
         )
         guard = blackbox.signal_guard(runs_dir=args.ledger)
         guard.__enter__()
+    run_timer = metrics.timer("cli.command_s").start()
     try:
         try:
             with trace.span("cli.command", command=args.command):
                 code = _dispatch(args, ctx)
         except Exception as exc:
             if is_run:
-                from repro.obs import blackbox
-
                 blackbox.write_crash_bundle(
                     "unhandled_exception", error=exc, runs_dir=args.ledger,
                 )
             raise
         status = "ok" if code == 0 else "error"
-        if server is not None:
-            server.stop()  # final alert evaluation before judging the run
-            fired = server.engine.fired_alarms()
-            ctx.alarms.extend(fired)
+        if engine is not None:
+            if server is not None:
+                server.stop()  # no live evaluator pass may race the verdict
+            fired = engine.judge_run()
             critical = [a for a in fired if a.get("severity") == "critical"]
-            if critical and is_run:
-                from repro.obs import blackbox
-
-                # one bundle per run: a stall/signal/exception already
-                # snapshotted the same final seconds
-                if blackbox.pending_bundles() == 0:
-                    blackbox.write_crash_bundle(
-                        "critical_alert", runs_dir=args.ledger,
-                        detail={"rules": [a.get("rule") for a in critical]},
-                    )
+            # one bundle per run: a stall/signal/exception already
+            # snapshotted the same final seconds
+            if critical and blackbox.pending_bundles() == 0:
+                blackbox.write_crash_bundle(
+                    "critical_alert", runs_dir=args.ledger,
+                    detail={"rules": [a.get("rule") for a in critical]},
+                )
             if fired and args.fail_on_alert and code == 0:
-                from repro.obs.serve import EXIT_ALERT
+                from repro.obs.alerts import EXIT_ALERT
 
                 logger.error(
                     "alert rules fired during the run: %s",
                     ", ".join(a["rule"] for a in fired),
                 )
-                status = "alert"
-                code = EXIT_ALERT
+                status, code = "alert", EXIT_ALERT
         return code
     finally:
         run_timer.stop()
         if server is not None:
-            # exception path: stop (idempotent) while the trace is still
-            # open so the engine's final obs.alert events land in it
-            server.stop()
-            for alarm in server.engine.fired_alarms():
-                if alarm not in ctx.alarms:
-                    ctx.alarms.append(alarm)
+            server.stop()  # idempotent; the exception path lands here
         if guard is not None:
             guard.__exit__(None, None, None)
         if is_run:
-            from repro.obs import blackbox
-
-            # crash bundles written anywhere this run become ledger
-            # alarms, so `repro obs runs show` links to the forensics
+            # fired rules and crash bundles written anywhere this run
+            # become ledger alarms; `repro obs runs show` links the latter
+            ctx.alarms.extend(engine.fired_alarms())
             ctx.alarms.extend(blackbox.drain_bundles())
             blackbox.clear_run_context()
         if args.trace:

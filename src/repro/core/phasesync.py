@@ -39,10 +39,12 @@ from repro.utils.validation import require
 #: Phase-error budget of the distributed sync, in radians (paper §7.3/§11).
 #: Fig. 7 measures the deployed protocol's misalignment at a ~0.018-rad
 #: median scale; Fig. 6 shows misalignment up to ~0.05 rad costs under
-#: ~1 dB of SNR at 20 dB.  The sync-health monitor
-#: (:func:`repro.obs.regress.sync_health_alarms`) raises a ledger alarm
-#: when a run's per-slave phase-error p95 exceeds the p95 budget —
-#: beyond it, rate selection starts paying real throughput for sync error.
+#: ~1 dB of SNR at 20 dB.  The built-in ``budget`` alert rules
+#: (:func:`repro.obs.alerts.builtin_rules`) are the one place these are
+#: enforced: live under ``--serve-port`` and in every run command's
+#: end-of-run verdict, which raises a ledger alarm when the run-wide
+#: phase-error median or p95 exceeds its budget — beyond the p95 budget,
+#: rate selection starts paying real throughput for sync error.
 PHASE_ERROR_BUDGET_MEDIAN_RAD = 0.018
 PHASE_ERROR_BUDGET_P95_RAD = 0.05
 

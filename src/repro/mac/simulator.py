@@ -329,10 +329,14 @@ class DownlinkSimulator:
         stays sequential because each outcome feeds the rate adaptation.
         If that drops the rate below the MCS floor mid-burst, the remaining
         streams fail undrawn, so the generator is rewound past their draws.
+        The draws record nothing; :meth:`_stream_success` records
+        ``mac.phase_error_rad`` once per packet actually evaluated.
         """
         states, errors = [], []
         for _ in clients:
-            errors.append(self.error_model.phase_errors(self.config.n_aps, self._rng))
+            errors.append(
+                self.error_model.draw_phase_errors(self.config.n_aps, self._rng)
+            )
             states.append(self._rng.bit_generator.state)
         sinr = joint_zf_sinr_db(
             self._channel_tensor(t),

@@ -19,7 +19,7 @@ history of every run with git sha, config hash, seed and headline metrics),
 **live sweep progress** (:mod:`repro.obs.progress`), **metric export**
 (:mod:`repro.obs.export`: OpenMetrics text and tidy CSV) and **regression
 detection** (:mod:`repro.obs.regress`: headline-metric probes compared
-against a committed baseline, plus the phase-sync health monitor).
+against a committed baseline).
 
 The v3 layer crosses the process boundary: pool workers write per-process
 trace *shards* reassembled into one tree (:mod:`repro.obs.shards`), and the
@@ -28,17 +28,20 @@ decomposes sweep wall time into compute / dispatch / serialization / idle
 per worker from the engine's ``runtime.chunk`` dispatch envelopes.
 
 The v4 layer makes the run *watchable while it executes*: a bounded
-ring-buffer time-series store (:mod:`repro.obs.timeseries`) that the
-engine, progress tracker and sync-error models publish into
-incrementally; a declarative alert-rule engine
-(:mod:`repro.obs.alerts`) enforcing the §7.3 phase-error budgets and
-worker-utilization floors live, with hysteresis and for-duration
-debouncing; and a stdlib HTTP endpoint (:mod:`repro.obs.serve`,
+ring-buffer time-series store (:mod:`repro.obs.timeseries`); a
+declarative alert-rule engine (:mod:`repro.obs.alerts`) that is the one
+place the §7.3 phase-error budgets and the worker-utilization floor are
+enforced — live under a telemetry server and once at the end of every
+run command; and a stdlib HTTP endpoint (:mod:`repro.obs.serve`,
 ``repro obs serve`` / ``--serve-port``) exposing ``/metrics``
 (OpenMetrics), ``/timeseries`` + ``/alerts`` (JSON) and ``/events``
-(SSE).  ``repro.obs.serve`` is deliberately *not* imported here: runs
-without a server never pay for the HTTP layer, and producers publish to
-its event bus only when it is already loaded.
+(SSE).  Event-shaped data — chunk envelopes, progress ticks, watchdog
+stalls, alert transitions, server lifecycle, crash bundles — is
+published by one call, :func:`emit` (:mod:`repro.obs.publish`), which
+fans it out once to the flight recorder, the trace, the named
+time-series points and the ``/events`` subscribers.
+``repro.obs.serve`` is deliberately *not* imported here: runs without a
+server never pay for the HTTP layer.
 
 Typical CLI wiring::
 
@@ -66,6 +69,7 @@ from repro.obs.ledger import Ledger, RunRecord, default_runs_dir, new_run_id
 from repro.obs.logging import get_logger, setup_logging
 from repro.obs.metrics import MetricsRegistry, Timer, get_registry
 from repro.obs.progress import SweepProgress
+from repro.obs.publish import emit
 from repro.obs.shards import merge_shards
 from repro.obs.summary import TraceSummary, format_table, summarize
 from repro.obs.timeseries import TimeSeriesStore, get_store
@@ -87,6 +91,7 @@ __all__ = [
     "TraceSummary",
     "Tracer",
     "default_runs_dir",
+    "emit",
     "format_sse",
     "format_table",
     "get_logger",

@@ -11,11 +11,14 @@ An :class:`AlertRule` names a series in the
 comparison and a threshold.  Three rule kinds share that shape:
 
 * ``threshold`` — plain comparison of the statistic against the bound.
-* ``budget`` — identical mechanics, but the bound is a *paper budget*
-  (the built-in §7.3 phase-error rules use
-  ``PHASE_ERROR_BUDGET_{MEDIAN,P95}_RAD`` from :mod:`repro.core.phasesync`);
-  kept distinct so ledger alarms and dashboards can tell "tuning knob"
-  from "reproduction-invalidating breach".
+* ``budget`` — the bound is a *paper budget* (the built-in §7.3
+  phase-error rules use ``PHASE_ERROR_BUDGET_{MEDIAN,P95}_RAD`` from
+  :mod:`repro.core.phasesync`); kept distinct so ledger alarms and
+  dashboards can tell "tuning knob" from "reproduction-invalidating
+  breach".  Live passes judge the series window like ``threshold``; the
+  end-of-run pass (:meth:`AlertEngine.judge_run`) reads the statistic
+  from the run-wide histogram of the same name, so a breach early in a
+  long run still counts after the series ring has overwritten it.
 * ``rate_of_change`` — per-second slope of the series over the window,
   compared against the bound (catches runaway drift before the level
   rule trips).
@@ -30,8 +33,12 @@ Two anti-flap mechanisms, both opt-in per rule:
   value oscillating around the bound does not strobe.
 
 :class:`AlertEngine` owns the rule set and the ok/pending/firing state
-machine; every transition becomes an ``obs.alert`` trace event, a logger
-line, and a dict handed to the SSE bus by :mod:`repro.obs.serve`.  Rules
+machine; every transition is emitted once as an ``obs.alert`` datum
+(:func:`repro.obs.publish.emit`: flight recorder, trace, ``/events``)
+and logged.  The CLI builds one engine per run command: a
+``--serve-port`` server evaluates it live, and :meth:`AlertEngine
+.judge_run` gives the end-of-run verdict that ledger alarms and
+``--fail-on-alert`` read, with or without a server.  Rules
 load from TOML (``runs/alerts.toml`` by default) layered over
 :func:`builtin_rules`; TOML parsing needs :mod:`tomllib` (Python 3.11+)
 and degrades to the built-ins with a warning on 3.10.
@@ -45,12 +52,17 @@ import re
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.flightrec import record as flightrec_record
 from repro.obs.logging import get_logger
-from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracer import trace
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.publish import emit
+from repro.obs.timeseries import TimeSeriesStore, get_store
 
 logger = get_logger("obs.alerts")
+
+#: Exit code for "an alert rule fired" (``--fail-on-alert`` on run
+#: commands and on ``repro obs watch``).  Distinct from the regress
+#: gate's 1 (breach) / 2 (no baseline).
+EXIT_ALERT = 3
 
 #: Default rules file, relative to the working directory (ledger-adjacent).
 DEFAULT_RULES_PATH = os.path.join("runs", "alerts.toml")
@@ -176,9 +188,21 @@ class AlertEngine:
     # -- evaluation ------------------------------------------------------------
 
     def _rule_value(
-        self, rule: AlertRule, store: TimeSeriesStore, now: float
+        self,
+        rule: AlertRule,
+        store: TimeSeriesStore,
+        now: float,
+        registry: Optional[MetricsRegistry],
     ) -> Optional[float]:
-        """Windowed statistic for one rule; None = not enough data."""
+        """The rule's statistic; None = not enough data."""
+        if registry is not None and rule.kind == "budget" and rule.stat != "last":
+            hist = registry.get(rule.series)
+            if isinstance(hist, Histogram):
+                if hist.count < rule.min_count:
+                    return None
+                if rule.stat in ("p50", "p95"):
+                    return float(hist.percentile(float(rule.stat[1:])))
+                return float(getattr(hist, rule.stat))
         series = store.get(rule.series)
         if series is None:
             return None
@@ -206,21 +230,26 @@ class AlertEngine:
         return value <= level if rule.op == "above" else value >= level
 
     def evaluate(
-        self, store: TimeSeriesStore, now: Optional[float] = None
+        self,
+        store: TimeSeriesStore,
+        now: Optional[float] = None,
+        registry: Optional[MetricsRegistry] = None,
     ) -> List[dict]:
         """One evaluation pass; returns the list of state *transitions*.
 
         Each transition dict carries ``rule``/``series``/``status`` (the
         new state), ``previous``, the triggering ``value`` and the rule's
         threshold/severity — the exact payload the SSE ``alert`` frames
-        and ledger alarms are built from.
+        and ledger alarms are built from.  With ``registry``, ``budget``
+        rules read the run-wide histogram named by their series instead
+        of the series window.
         """
         if now is None:
             now = time.time()
         transitions: List[dict] = []
         for state in self._states.values():
             rule = state.rule
-            value = self._rule_value(rule, store, now)
+            value = self._rule_value(rule, store, now, registry)
             state.value = value
             if value is None:
                 continue  # insufficient data: hold current status
@@ -266,8 +295,7 @@ class AlertEngine:
                 "description": rule.description,
             }
             transitions.append(transition)
-            flightrec_record("obs.alert", transition, ts=now)
-            trace.event("obs.alert", **transition)
+            emit("obs.alert", transition, ts=now)
             log = logger.warning if new_status == "firing" else logger.info
             log(
                 "alert %s: %s -> %s (%s %s=%0.6g vs threshold %0.6g)",
@@ -285,12 +313,28 @@ class AlertEngine:
     def to_dict(self) -> dict:
         return {name: s.to_dict() for name, s in sorted(self._states.items())}
 
-    def fired_alarms(self) -> List[dict]:
-        """Ledger-alarm dicts for every rule that fired at least once.
+    def judge_run(
+        self,
+        store: Optional[TimeSeriesStore] = None,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> List[dict]:
+        """The end-of-run verdict: one pass over the whole run's telemetry.
 
-        Shape mirrors :func:`repro.obs.regress.sync_health_alarms` entries
-        so ``RunRecord.alarms`` consumers see one vocabulary.
+        Samples ``registry`` into ``store`` (the process-global ones by
+        default; counters such as ``runtime.watchdog_stalls`` get their
+        final point), evaluates every rule once with ``budget`` rules
+        reading the run-wide histograms, and returns :meth:`fired_alarms`
+        — one alarm per rule that fired live or now.
         """
+        store = store if store is not None else get_store()
+        registry = registry if registry is not None else get_registry()
+        now = time.time()
+        store.sample_registry(registry, ts=now)
+        self.evaluate(store, now=now, registry=registry)
+        return self.fired_alarms()
+
+    def fired_alarms(self) -> List[dict]:
+        """Ledger-alarm dicts, one per rule that fired at least once."""
         alarms = []
         for state in self._states.values():
             if state.fired_count == 0:

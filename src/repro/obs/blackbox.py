@@ -22,8 +22,10 @@ runs dir holding everything needed to reconstruct the final seconds:
 Bundles are written *best-effort* (never raise into the failing path)
 and from any thread — the watchdog monitor writes one while the main
 thread is still hung, which is the whole black-box point.  Each bundle
-is also queued on a process-global list; the CLI drains that list into
-the run's ledger alarms so ``repro obs runs show`` links to the bundle.
+is emitted once as an ``obs.crash_bundle`` datum (so a live ``/events``
+watcher sees it) and queued on a process-global list; the CLI drains
+that list into the run's ledger alarms so ``repro obs runs show`` links
+to the bundle.
 
 ``repro obs blackbox list/show`` inspect bundles after the fact.
 """
@@ -45,6 +47,7 @@ from repro.obs.events import jsonable
 from repro.obs.flightrec import get_recorder
 from repro.obs.ledger import default_runs_dir, new_run_id
 from repro.obs.logging import get_logger
+from repro.obs.publish import emit
 
 logger = get_logger("obs.blackbox")
 
@@ -218,15 +221,17 @@ def _write_crash_bundle(
     }
     _write_json(bundle / "bundle.json", manifest)
 
+    alarm = {
+        "kind": "crash_bundle",
+        "rule": None,
+        "reason": reason,
+        "bundle_id": bundle.name,
+        "path": str(bundle),
+        "severity": "critical",
+    }
     with _LOCK:
-        _BUNDLES.append({
-            "kind": "crash_bundle",
-            "rule": None,
-            "reason": reason,
-            "bundle_id": bundle.name,
-            "path": str(bundle),
-            "severity": "critical",
-        })
+        _BUNDLES.append(alarm)
+    emit("obs.crash_bundle", alarm, ts=now)
     logger.error("crash bundle written to %s (reason=%s)", bundle, reason)
     return bundle
 

@@ -8,35 +8,28 @@ the moments where the recent past matters most and nothing was asked to
 keep it.
 
 The :class:`FlightRecorder` is the always-on answer: a process-global,
-bounded ``deque`` of ``{"ts", "kind", "data"}`` records that the
-existing publication points feed for free —
+bounded ``deque`` of ``{"ts", "kind", "data"}`` records.  Two paths
+feed it:
 
-* span opens/closes and events (:mod:`repro.obs.tracer`, only while a
-  trace sink is live),
-* progress ticks (:class:`repro.obs.progress.SweepProgress`),
-* store-level metric samples (:meth:`repro.obs.timeseries.TimeSeriesStore
-  .record`; the hot-path ``Series.record`` handle calls used by fastsim
-  are deliberately *not* tapped),
-* alert transitions (:class:`repro.obs.alerts.AlertEngine`),
-* engine chunk envelopes and watchdog events
-  (:mod:`repro.runtime.engine` / :mod:`repro.runtime.watchdog`),
-* SSE bus frames (:class:`repro.obs.serve.EventBus`).
+* :func:`repro.obs.publish.emit` — one record per event-shaped datum:
+  chunk envelopes, progress ticks, watchdog stalls, alert transitions,
+  server lifecycle and crash bundles;
+* the tracer's span opens/closes (only while a trace sink is live).
+
+Metric samples and time-series points never land here, so the ring's
+:data:`DEFAULT_CAPACITY` records cover the run's recent *events* rather
+than being flooded by sampling.
 
 Appends are a lock + ``deque.append`` — the same "negligible until you
-need it" bar the null tracer holds (<5% on a recorder-enabled sweep,
-enforced by ``tests/obs/test_flightrec.py``).  The ring is snapshot-able
-at any moment; crash-forensics bundles (:mod:`repro.obs.blackbox`) dump
-it to ``runs/crash-<runid>/flightrec.json``.
-
-``REPRO_FLIGHTREC=0`` disables recording entirely;
-``REPRO_FLIGHTREC_CAPACITY`` resizes the ring (default
-:data:`DEFAULT_CAPACITY` records).
+need it" bar the null tracer holds (<5% overhead, enforced by
+``tests/obs/test_flightrec.py``).  The ring is snapshot-able at any
+moment; crash-forensics bundles (:mod:`repro.obs.blackbox`) dump it to
+``runs/crash-<runid>/flightrec.json``.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
 import time
@@ -47,30 +40,8 @@ from typing import Any, Deque, Dict, List, Optional, Union
 #: Records retained in the ring (oldest evicted first).
 DEFAULT_CAPACITY = 4096
 
-#: Environment variable: "0" disables the recorder entirely.
-ENABLE_ENV = "REPRO_FLIGHTREC"
-
-#: Environment variable overriding the ring capacity.
-CAPACITY_ENV = "REPRO_FLIGHTREC_CAPACITY"
-
 #: Version stamped into dumps; bump on breaking record-shape changes.
 DUMP_SCHEMA = 1
-
-logger = logging.getLogger("repro.obs.flightrec")
-
-
-def _env_capacity() -> int:
-    raw = os.environ.get(CAPACITY_ENV, "").strip()
-    if raw:
-        try:
-            return max(int(raw), 1)
-        except ValueError:
-            logger.debug("ignoring malformed %s=%r", CAPACITY_ENV, raw)
-    return DEFAULT_CAPACITY
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENABLE_ENV, "").strip() != "0"
 
 
 class FlightRecorder:
@@ -82,17 +53,12 @@ class FlightRecorder:
     (``dropped = total - len(ring)``).
     """
 
-    __slots__ = ("capacity", "enabled", "total", "_ring", "_lock")
+    __slots__ = ("capacity", "total", "_ring", "_lock")
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        enabled: Optional[bool] = None,
-    ):
-        self.capacity = capacity if capacity is not None else _env_capacity()
-        if self.capacity < 1:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
+        if capacity < 1:
             raise ValueError("flight recorder capacity must be >= 1")
-        self.enabled = enabled if enabled is not None else _env_enabled()
+        self.capacity = capacity
         self.total = 0
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
@@ -108,9 +74,7 @@ class FlightRecorder:
         data: Optional[dict] = None,
         ts: Optional[float] = None,
     ) -> None:
-        """Append one record; a no-op while disabled."""
-        if not self.enabled:
-            return
+        """Append one record."""
         rec: Dict[str, Any] = {
             "ts": time.time() if ts is None else ts,
             "kind": kind,
@@ -151,7 +115,6 @@ class FlightRecorder:
             "ts": time.time(),
             "pid": os.getpid(),
             "capacity": self.capacity,
-            "enabled": self.enabled,
             "total": total,
             "dropped": total - len(records),
             "records": records,
@@ -175,7 +138,7 @@ class FlightRecorder:
             self.total = 0
 
 
-#: The process-global recorder every publication point feeds.
+#: The process-global recorder :func:`repro.obs.publish.emit` feeds.
 _RECORDER = FlightRecorder()
 
 

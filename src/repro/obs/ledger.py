@@ -69,8 +69,8 @@ class RunRecord:
         metrics: Flat ``{name: float}`` headline metrics of the run.
         artifacts: ``{kind: path}`` of files the run produced
             (trace, metrics snapshot, checkpoint, ...).
-        alarms: Domain alarms raised during the run (e.g. the sync-health
-            monitor's phase-error-budget breach).
+        alarms: One entry per alert rule that fired during the run (e.g.
+            a §7.3 phase-error-budget breach) and per crash bundle.
     """
 
     run_id: str

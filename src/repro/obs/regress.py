@@ -20,15 +20,15 @@ Three sources of "current" metrics:
 * ``--run ID|latest`` — the headline metrics a ledger record captured;
 * ``--current FILE`` — a flat ``{metric: value}`` JSON file.
 
-The **sync-health monitor** (:func:`sync_health_alarms`) is the
-always-on half: every ``repro simulate`` run checks the phase-error
-histograms against the budget and attaches an alarm to its ledger record
-on breach — AirSync-style longitudinal sync diagnosis from telemetry,
-not from staring at waveforms.
+The always-on half of sync health lives in :mod:`repro.obs.alerts`:
+every run command's end-of-run verdict judges the §7.3 phase-error
+budget rules against the run-wide histograms and attaches one alarm per
+fired rule to its ledger record — AirSync-style longitudinal sync
+diagnosis from telemetry, not from staring at waveforms.
 
 Fault injection for CI: ``REPRO_PHASE_SIGMA_SCALE=2`` doubles the
 calibrated slave phase noise (see :mod:`repro.sim.fastsim`), which must
-trip both the baseline comparison and the budget check.
+trip both the baseline comparison and the budget rules.
 """
 
 from __future__ import annotations
@@ -53,50 +53,6 @@ BASELINE_SCHEMA = 1
 EXIT_OK = 0
 EXIT_BREACH = 1
 EXIT_NO_BASELINE = 2
-
-#: Minimum histogram samples before the sync-health monitor will alarm.
-SYNC_HEALTH_MIN_SAMPLES = 20
-
-#: Phase-error histograms the sync-health monitor watches.
-SYNC_HEALTH_METRICS = ("mac.phase_error_rad", "fastsim.phase_error_rad")
-
-
-# ---------------------------------------------------------------------------
-# Sync-health monitor (wired into every simulate run)
-# ---------------------------------------------------------------------------
-
-
-def sync_health_alarms(registry=None, budget_rad: float = PHASE_ERROR_BUDGET_P95_RAD) -> List[dict]:
-    """Check per-slave phase-error p95 against the paper's budget.
-
-    Reads the phase-error histograms accumulated during the run; any with
-    enough samples and a p95 beyond ``budget_rad`` yields one alarm dict
-    (suitable for a ledger record's ``alarms`` list).  Also mirrors each
-    alarm as an ``obs.sync_alarm`` trace event.
-    """
-    reg = registry if registry is not None else metrics.get_registry()
-    alarms = []
-    for name in SYNC_HEALTH_METRICS:
-        hist = reg.get(name)
-        if hist is None or getattr(hist, "count", 0) < SYNC_HEALTH_MIN_SAMPLES:
-            continue
-        p95 = float(hist.percentile(95))
-        if p95 > budget_rad:
-            alarm = {
-                "kind": "sync_health",
-                "metric": name,
-                "p95_rad": p95,
-                "budget_rad": float(budget_rad),
-                "count": int(hist.count),
-            }
-            alarms.append(alarm)
-            trace.event("obs.sync_alarm", **alarm)
-            logger.warning(
-                "sync-health alarm: %s p95 %.4f rad exceeds the %.3f rad "
-                "budget (%d samples)",
-                name, p95, budget_rad, hist.count,
-            )
-    return alarms
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,21 @@ service mounts: while a sweep or simulation executes, a stdlib-only
                           ``buckets`` (downsample), ``name`` (glob).
 ``/alerts``               Rule states + currently-firing list from the
                           :class:`~repro.obs.alerts.AlertEngine`.
-``/events``               Server-Sent-Events stream of ``progress`` frames
-                          (mirroring ``runtime.progress``) and ``alert``
-                          transition frames, with keep-alive comments.
+``/events``               Server-Sent-Events stream of every emitted datum
+                          (``progress``, ``chunk``, ``alert``, ``watchdog``,
+                          ``serve``, ``crash_bundle`` frames), with
+                          keep-alive comments.
 ``/``                     JSON index of the above.
 ========================  ====================================================
 
 :class:`TelemetryServer` also owns the *evaluator thread*: every
 ``eval_interval_s`` it samples the metrics registry into the store
 (counters/gauges/histogram-percentiles grow histories without touching
-hot paths) and runs the alert engine, publishing transitions to the
-in-process :class:`EventBus` that feeds ``/events``.
+hot paths) and runs the alert engine, whose transitions reach ``/events``
+through :func:`repro.obs.publish.emit` like every other event-shaped
+datum.  Under the CLI the engine is the run's one engine; the end-of-run
+verdict is taken by the CLI after the server stops
+(:meth:`repro.obs.alerts.AlertEngine.judge_run`).
 
 The ``watch`` client (``repro obs watch URL``) tails any such endpoint —
 local or remote — as a refreshing terminal status table, and exits
@@ -32,8 +36,7 @@ local or remote — as a refreshing terminal status table, and exits
 watching, so shell scripts and CI can gate on live health.
 
 Nothing here imports outside the stdlib + the obs stack; a run without
-``--serve-port`` never imports this module (producers publish to the bus
-only when it is already loaded — see ``SweepProgress``).
+``--serve-port`` never imports this module.
 """
 
 from __future__ import annotations
@@ -46,23 +49,18 @@ import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs.alerts import AlertEngine, load_rules
+from repro.obs import publish
+from repro.obs.alerts import EXIT_ALERT, AlertEngine, load_rules
 from repro.obs.events import format_sse
 from repro.obs.export import metrics_to_openmetrics
-from repro.obs.flightrec import record as flightrec_record
 from repro.obs.logging import get_logger
-from repro.obs.metrics import MetricsRegistry, counter, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.timeseries import TimeSeriesStore, get_store
 
 logger = get_logger("obs.serve")
-
-#: Exit code for "an alert rule fired" (``watch --fail-on-alert``,
-#: ``--serve-port ... --fail-on-alert`` runs).  Distinct from the regress
-#: gate's 1 (breach) / 2 (no baseline).
-EXIT_ALERT = 3
 
 #: Content type real OpenMetrics scrapers negotiate.
 OPENMETRICS_CONTENT_TYPE = (
@@ -74,65 +72,6 @@ DEFAULT_EVAL_INTERVAL_S = 0.25
 
 #: Seconds an idle SSE connection waits before writing a keep-alive comment.
 SSE_KEEPALIVE_S = 0.5
-
-#: Frames dropped because a subscriber queue was full; exported on
-#: ``/metrics`` and recorded into the time-series store so a slow SSE
-#: client is *visible*, not just tolerated.
-_EVENTS_DROPPED = counter("obs.events.dropped")
-
-
-class EventBus:
-    """Fan-out of ``(kind, payload)`` frames to SSE subscriber queues.
-
-    Publishing never blocks a producer: subscriber queues are bounded and
-    a full queue drops the frame for that subscriber (a slow SSE client
-    must not stall the sweep).  Drops are counted per bus (``dropped``)
-    and process-wide on the ``obs.events.dropped`` metric.
-    """
-
-    def __init__(self, maxsize: int = 256):
-        self.maxsize = int(maxsize)
-        self._subscribers: List["queue.Queue[Tuple[str, dict]]"] = []
-        self._lock = threading.Lock()
-        self.published = 0
-        self.dropped = 0
-
-    def subscribe(self) -> "queue.Queue[Tuple[str, dict]]":
-        q: "queue.Queue[Tuple[str, dict]]" = queue.Queue(maxsize=self.maxsize)
-        with self._lock:
-            self._subscribers.append(q)
-        return q
-
-    def unsubscribe(self, q: "queue.Queue[Tuple[str, dict]]") -> None:
-        with self._lock:
-            if q in self._subscribers:
-                self._subscribers.remove(q)
-
-    def publish(self, kind: str, payload: dict) -> None:
-        with self._lock:
-            subscribers = list(self._subscribers)
-        self.published += 1
-        flightrec_record("bus." + kind, payload)
-        dropped = 0
-        for q in subscribers:
-            try:
-                q.put_nowait((kind, dict(payload)))
-            except queue.Full:
-                dropped += 1
-        if dropped:
-            self.dropped += dropped
-            _EVENTS_DROPPED.inc(dropped)
-            get_store().record("obs.events.dropped", float(_EVENTS_DROPPED.value))
-
-
-#: The process-global bus producers publish into (when this module is
-#: loaded at all — see :func:`publish_event`).
-BUS = EventBus()
-
-
-def publish_event(kind: str, payload: dict) -> None:
-    """Publish a frame to the global bus (progress, alerts, lifecycle)."""
-    BUS.publish(kind, payload)
 
 
 class _Server(ThreadingHTTPServer):
@@ -190,7 +129,7 @@ class _Handler(BaseHTTPRequestHandler):
             pass  # repro: noqa[OBS005]
 
     def _serve_events(self, tele: "TelemetryServer") -> None:
-        q = tele.bus.subscribe()
+        q = publish.subscribe()
         try:
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream; charset=utf-8")
@@ -213,16 +152,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self.wfile.write(format_sse(kind, payload).encode())
                 self.wfile.flush()
         finally:
-            tele.bus.unsubscribe(q)
+            publish.unsubscribe(q)
 
 
 class TelemetryServer:
     """The live telemetry endpoint + evaluator thread for one process.
 
-    Defaults bind the process-global registry/store/bus, and an alert
-    engine over :func:`repro.obs.alerts.load_rules` (built-ins overlaid
-    with ``runs/alerts.toml`` when present).  ``port=0`` binds an
-    ephemeral port; read :attr:`port`/:attr:`url` after :meth:`start`.
+    Defaults bind the process-global registry/store, and an alert engine
+    over :func:`repro.obs.alerts.load_rules` (built-ins overlaid with
+    ``runs/alerts.toml`` when present).  ``port=0`` binds an ephemeral
+    port; read :attr:`port`/:attr:`url` after :meth:`start`.
     """
 
     def __init__(
@@ -232,18 +171,13 @@ class TelemetryServer:
         registry: Optional[MetricsRegistry] = None,
         store: Optional[TimeSeriesStore] = None,
         engine: Optional[AlertEngine] = None,
-        rules_path: Optional[str] = None,
-        bus: Optional[EventBus] = None,
         eval_interval_s: float = DEFAULT_EVAL_INTERVAL_S,
     ):
         self.host = host
         self.port = int(port)
         self.registry = registry if registry is not None else get_registry()
         self.store = store if store is not None else get_store()
-        self.engine = engine if engine is not None else AlertEngine(
-            load_rules(rules_path)
-        )
-        self.bus = bus if bus is not None else BUS
+        self.engine = engine if engine is not None else AlertEngine(load_rules())
         self.eval_interval_s = float(eval_interval_s)
         self.stopping = threading.Event()
         self._httpd: Optional[_Server] = None
@@ -277,17 +211,14 @@ class TelemetryServer:
         serve_thread.start()
         eval_thread.start()
         logger.info("serving live telemetry on %s", self.url)
-        self.bus.publish("serve", {"ts": time.time(), "url": self.url,
-                                   "status": "started"})
+        self._lifecycle("started")
         return self
 
     def stop(self) -> None:
-        """Final evaluation pass, then shut the endpoint down (idempotent)."""
+        """Shut the endpoint and the evaluator down (idempotent)."""
         if self._httpd is None:
             return
-        self.evaluate_once()  # judge end-of-run state before going dark
-        self.bus.publish("serve", {"ts": time.time(), "url": self.url,
-                                   "status": "stopping"})
+        self._lifecycle("stopping")
         self.stopping.set()
         httpd, self._httpd = self._httpd, None
         httpd.shutdown()
@@ -296,6 +227,9 @@ class TelemetryServer:
             t.join(timeout=2.0)
         self._threads = []
         logger.info("live telemetry on %s stopped", self.url)
+
+    def _lifecycle(self, status: str) -> None:
+        publish.emit("obs.serve", {"url": self.url, "status": status})
 
     # -- evaluation ------------------------------------------------------------
 
@@ -308,13 +242,10 @@ class TelemetryServer:
         now = time.time()
         try:
             self.store.sample_registry(self.registry, ts=now)
-            transitions = self.engine.evaluate(self.store, now=now)
+            return self.engine.evaluate(self.store, now=now)
         except Exception:
             logger.exception("telemetry evaluation pass failed")
             return []
-        for t in transitions:
-            self.bus.publish("alert", t)
-        return transitions
 
     # -- endpoint views --------------------------------------------------------
 

@@ -9,8 +9,11 @@ pool still shows the same totals.
 
 :class:`TimeSeriesStore` keeps *history*: per-series ring buffers of
 ``(timestamp, value)`` points with a bounded memory footprint.  Producers
-(the sweep engine's chunk envelopes, ``SweepProgress`` renders, the
-fastsim/MAC sync-error draws) append incrementally while the run executes;
+append incrementally while the run executes: the fastsim/MAC sync-error
+draws through cached :class:`Series` handles, event-shaped data (chunk
+envelopes, progress ticks) through the points they name in
+:func:`repro.obs.publish.emit`, and every registered metric through the
+evaluator's :meth:`TimeSeriesStore.sample_registry`;
 consumers (the alert engine in :mod:`repro.obs.alerts`, the HTTP endpoint
 in :mod:`repro.obs.serve`) read windowed rollups — min/max/mean/p50/p95
 over the last *N* seconds — and bucketed downsamples for sparklines.
@@ -37,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.obs.flightrec import record as flightrec_record
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 #: Default ring capacity (points retained per series).
@@ -193,9 +195,6 @@ class TimeSeriesStore:
         return s
 
     def record(self, name: str, value: float, ts: Optional[float] = None) -> None:
-        # Store-level samples also feed the flight recorder (the hot-path
-        # ``Series.record`` handle calls used inside kernels do not).
-        flightrec_record("series.sample", {"name": name, "value": value}, ts=ts)
         self.series(name).record(value, ts=ts)
 
     def get(self, name: str) -> Optional[Series]:
@@ -275,10 +274,6 @@ def get_store() -> TimeSeriesStore:
 
 def series(name: str, capacity: Optional[int] = None) -> Series:
     return _STORE.series(name, capacity=capacity)
-
-
-def record(name: str, value: float, ts: Optional[float] = None) -> None:
-    _STORE.record(name, value, ts=ts)
 
 
 def reset() -> None:

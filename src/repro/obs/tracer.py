@@ -263,7 +263,7 @@ class Tracer:
             return NULL_SPAN
         return Span(self, name, attrs)
 
-    def event(self, name: str, **attrs) -> None:
+    def event(self, name: str, /, **attrs) -> None:
         """Record a point-in-time observation under the current span."""
         if not self.enabled:
             return
@@ -279,13 +279,12 @@ class Tracer:
         self._emit(record)
 
     def _emit(self, record: dict) -> None:
-        # Every record that reaches a sink also lands on the black-box
-        # flight recorder, so crash bundles keep the final spans/events
-        # even when the trace file itself is lost or torn.
-        flightrec_record(
-            "trace." + str(record.get("type", "record")),
-            record, ts=record.get("ts"),
-        )
+        # Spans that reach a sink also land on the black-box flight
+        # recorder, so crash bundles keep the final spans even when the
+        # trace file itself is lost or torn.  Events arrive there through
+        # repro.obs.publish.emit instead, once per datum.
+        if record["type"] == "span":
+            flightrec_record("trace.span", record, ts=record.get("ts"))
         if self._writer is not None:
             self._writer.write(record)
 

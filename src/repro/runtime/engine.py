@@ -34,11 +34,11 @@ Execution model:
   ``resume=True`` skips chunks already on disk (header-validated);
 * every chunk completion feeds a :class:`repro.obs.progress.SweepProgress`
   tracker, which renders a live stderr status line (done/total, trials/s,
-  ETA, retries) and mirrors it as ``runtime.progress`` trace events —
+  ETA, retries) and emits each tick as one ``runtime.progress`` datum —
   parent-process-only state that cannot affect results;
 * every completed chunk carries a dispatch-overhead *envelope* (worker
   wall/CPU compute, receive/done timestamps, result-serialization cost)
-  recorded in the parent as ``runtime.chunk`` trace events and
+  emitted in the parent as one ``runtime.chunk`` datum and folded into
   ``runtime.*`` metrics; :func:`repro.obs.profile.attribute_chunks` folds
   these into the per-worker ``wall = compute + dispatch + serialization +
   idle`` breakdown stamped into :attr:`SweepResult.overhead`;
@@ -63,13 +63,11 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.obs import get_logger, metrics, shards, trace
+from repro.obs import emit, get_logger, metrics, shards, trace
 from repro.obs.events import jsonable
-from repro.obs.flightrec import record as flightrec_record
 from repro.obs.metrics import Timer
 from repro.obs.profile import attribute_chunks
 from repro.obs.progress import SweepProgress
-from repro.obs.timeseries import get_store
 from repro.runtime import faults
 from repro.runtime.checkpoint import open_checkpoint, sweep_header
 from repro.runtime.seeding import seed_sequence
@@ -109,9 +107,6 @@ _SER_TASK_S = metrics.counter("runtime.ser_task_s")
 _SER_TASK_BYTES = metrics.counter("runtime.ser_task_bytes")
 _SER_RESULT_S = metrics.counter("runtime.ser_result_s")
 _SER_RESULT_BYTES = metrics.counter("runtime.ser_result_bytes")
-
-#: Live time-series store the chunk envelopes publish into (parent-side).
-_STORE = get_store()
 
 #: Overhead breakdowns of completed sweeps, drained by benchmark tooling.
 _SWEEP_OVERHEADS: List[Dict[str, Any]] = []
@@ -329,7 +324,7 @@ def _account_chunk(
     envelope: Envelope,
     ser_task: Tuple[int, float] = (0, 0.0),
 ) -> None:
-    """Fold a completed chunk's envelope into metrics and a trace event.
+    """Fold a completed chunk's envelope into metrics and emit it once.
 
     Parent-side only.  ``mode`` is ``"pool"``, ``"serial"`` or
     ``"retry"``; pool chunks are attributed per worker process, and
@@ -367,17 +362,14 @@ def _account_chunk(
     _SER_TASK_BYTES.inc(rec["ser_task_bytes"])
     _SER_RESULT_S.inc(rec["ser_result_s"])
     _SER_RESULT_BYTES.inc(rec["ser_result_bytes"])
-    # Live layer: every envelope also lands in the process-global
-    # time-series store, timestamped at chunk completion, so /timeseries
-    # and the alert rules see per-chunk latency history while the sweep
-    # runs (parent-side only, like the counters above).
-    _STORE.record("runtime.chunk_wall_s", rec["wall_s"], ts=done_ts)
-    _STORE.record("runtime.chunk_queue_wait_s", rec["queue_wait_s"], ts=done_ts)
-    # The chunk envelope (minus the result payload) also lands on the
-    # always-on flight recorder, so a crash bundle shows which chunks
-    # completed in the final seconds even when no trace was configured.
-    flightrec_record("runtime.chunk", rec, ts=done_ts)
-    trace.event("runtime.chunk", **rec)
+    # One envelope, one datum, timestamped at chunk completion: the
+    # flight recorder shows a crash bundle which chunks completed in the
+    # final seconds, and the named points give /timeseries per-chunk
+    # latency history while the sweep runs.
+    emit("runtime.chunk", rec, ts=done_ts, series={
+        "runtime.chunk_wall_s": rec["wall_s"],
+        "runtime.chunk_queue_wait_s": rec["queue_wait_s"],
+    })
 
 
 def assemble_results(

@@ -78,13 +78,15 @@ class SyncErrorModel:
         if scale is not None and scale.strip():
             self.phase_sigma_rad = float(self.phase_sigma_rad) * float(scale)
 
-    def phase_errors(
+    def draw_phase_errors(
         self, n_tx: int, rng, device_of: Optional[Sequence[int]] = None
     ) -> np.ndarray:
         """Draw per-TX-antenna phase errors for one joint transmission.
 
         Antennas sharing a device (``device_of``) share one error — they are
-        driven by one oscillator.  Device 0 is the lead.
+        driven by one oscillator.  Device 0 is the lead.  Records nothing:
+        callers that may discard a draw (the MAC's mid-burst MCS floor)
+        record the errors they actually use under their own metric.
         """
         rng = ensure_rng(rng)
         if device_of is None:
@@ -94,7 +96,13 @@ class SyncErrorModel:
         per_device = rng.normal(0.0, self.phase_sigma_rad, n_devices)
         if self.lead_is_perfect:
             per_device[0] = 0.0
-        errors = per_device[device_of]
+        return per_device[device_of]
+
+    def phase_errors(
+        self, n_tx: int, rng, device_of: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """:meth:`draw_phase_errors`, recorded under ``fastsim.*``."""
+        errors = self.draw_phase_errors(n_tx, rng, device_of)
         _OBS_DRAWS.inc()
         if errors.size:
             worst = float(np.max(np.abs(errors)))

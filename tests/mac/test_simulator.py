@@ -153,3 +153,24 @@ class TestEventTrace:
         delivers = sum(e.kind == "deliver" for e in trace.events)
         assert fails == trace.n_failures
         assert delivers == len(trace.delivered)
+
+
+class TestPhaseErrorTelemetry:
+    def test_mid_burst_floor_records_only_evaluated_packets(self):
+        """Each evaluated packet records its phase error once, under mac.*.
+
+        The golden ``mcs_floor_midburst`` config drops below the MCS floor
+        mid-burst, so some drawn errors are rewound unused: they must
+        leave no trace, and the MAC's draws must not count as fastsim's.
+        """
+        from repro.obs import metrics, timeseries
+
+        metrics.reset()
+        timeseries.reset()
+        run(n_aps=4, n_clients=4, duration=0.05, coherence_time_s=0.05,
+            seed=3)
+        registry = metrics.get_registry()
+        assert registry.get("mac.phase_error_rad").count == 37
+        assert timeseries.get_store().get("mac.phase_error_rad").total == 37
+        assert registry.get("fastsim.phase_error_draws").value == 0
+        assert registry.get("fastsim.phase_error_rad").count == 0

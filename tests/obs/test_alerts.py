@@ -1,4 +1,4 @@
-"""Alert engine: rule validation, state machine, built-ins, TOML overlay."""
+"""Alert engine: rule validation, state machine, built-ins, run verdict, TOML."""
 
 import sys
 
@@ -14,7 +14,8 @@ from repro.obs.alerts import (
     builtin_rules,
     load_rules,
 )
-from repro.obs.timeseries import TimeSeriesStore
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import DEFAULT_CAPACITY, TimeSeriesStore
 
 HAVE_TOMLLIB = sys.version_info >= (3, 11)
 
@@ -230,6 +231,55 @@ class TestBuiltinRules:
         engine = AlertEngine(builtin_rules())
         fill(store, "fastsim.phase_error_rad", [0.005] * 10, t0=0.0)
         assert engine.evaluate(store, now=9.0) == []
+
+
+class TestRunVerdict:
+    """The end-of-run pass: budget rules judge the run-wide histogram."""
+
+    def _run(self, values):
+        """A MAC run's phase-error telemetry: histogram + live series."""
+        store, registry = TimeSeriesStore(), MetricsRegistry()
+        hist = registry.histogram("mac.phase_error_rad")
+        series = store.series("mac.phase_error_rad")
+        for v in values:
+            hist.observe(v)
+            series.record(v)
+        return store, registry
+
+    def test_alarm_on_budget_breach(self):
+        store, registry = self._run([2.0 * PHASE_ERROR_BUDGET_P95_RAD] * 25)
+        alarms = AlertEngine(builtin_rules()).judge_run(store, registry)
+        assert [a["rule"] for a in alarms] == [
+            "mac.phase_error_p50", "mac.phase_error_p95",
+        ]
+        p95 = alarms[1]
+        assert p95["kind"] == "alert_budget" and p95["severity"] == "critical"
+        assert p95["metric"] == "mac.phase_error_rad"
+        assert p95["value"] > p95["threshold"] == PHASE_ERROR_BUDGET_P95_RAD
+
+    def test_quiet_within_budget(self):
+        store, registry = self._run([0.5 * PHASE_ERROR_BUDGET_MEDIAN_RAD] * 25)
+        assert AlertEngine(builtin_rules()).judge_run(store, registry) == []
+
+    def test_quiet_with_too_few_samples(self):
+        rules = builtin_rules()
+        min_count = {r.name: r.min_count for r in rules}["mac.phase_error_p95"]
+        store, registry = self._run(
+            [10 * PHASE_ERROR_BUDGET_P95_RAD] * (min_count - 1)
+        )
+        assert AlertEngine(rules).judge_run(store, registry) == []
+
+    def test_early_breach_beyond_the_series_ring_still_alarms(self):
+        # the breach is the run's first 600 samples; the next full ring of
+        # healthy samples overwrites every one of them in the series
+        bad = [10 * PHASE_ERROR_BUDGET_P95_RAD] * 600
+        good = [0.5 * PHASE_ERROR_BUDGET_MEDIAN_RAD] * DEFAULT_CAPACITY
+        store, registry = self._run(bad + good)
+        engine = AlertEngine(builtin_rules())
+        assert engine.evaluate(store) == []  # the live window is clean
+        alarms = engine.judge_run(store, registry)
+        assert [a["rule"] for a in alarms] == ["mac.phase_error_p95"]
+        assert alarms[0]["value"] > PHASE_ERROR_BUDGET_P95_RAD
 
 
 class TestLoadRules:

@@ -1,22 +1,21 @@
-"""Flight recorder: ring semantics, env knobs, dumps, taps, overhead bound."""
+"""Flight recorder: ring semantics, dumps, feeds, overhead bound."""
 
 import json
 import time
 
 import pytest
 
-from repro.obs import flightrec
+from repro.obs import flightrec, publish, trace
 from repro.obs.alerts import AlertEngine, AlertRule
+from repro.obs.events import read_events
 from repro.obs.flightrec import (
-    CAPACITY_ENV,
     DEFAULT_CAPACITY,
     DUMP_SCHEMA,
-    ENABLE_ENV,
     FlightRecorder,
     get_recorder,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesStore
-from repro.obs.tracer import Tracer
 
 
 @pytest.fixture(autouse=True)
@@ -29,7 +28,7 @@ def _clean_global_recorder():
 
 class TestRing:
     def test_records_kept_oldest_first(self):
-        rec = FlightRecorder(capacity=8, enabled=True)
+        rec = FlightRecorder(capacity=8)
         rec.record("a", {"i": 1}, ts=1.0)
         rec.record("b", {"i": 2}, ts=2.0)
         snap = rec.snapshot()
@@ -37,7 +36,7 @@ class TestRing:
         assert snap[0] == {"ts": 1.0, "kind": "a", "data": {"i": 1}}
 
     def test_kind_filter_and_last(self):
-        rec = FlightRecorder(capacity=8, enabled=True)
+        rec = FlightRecorder(capacity=8)
         rec.record("tick", {"n": 1})
         rec.record("tock")
         rec.record("tick", {"n": 2})
@@ -46,7 +45,7 @@ class TestRing:
         assert rec.last("missing") is None
 
     def test_eviction_counts_total_and_dropped(self):
-        rec = FlightRecorder(capacity=3, enabled=True)
+        rec = FlightRecorder(capacity=3)
         for i in range(10):
             rec.record("k", {"i": i})
         assert len(rec) == 3
@@ -54,20 +53,15 @@ class TestRing:
         assert rec.dropped == 7
         assert [r["data"]["i"] for r in rec.snapshot()] == [7, 8, 9]
 
-    def test_disabled_recorder_is_inert(self):
-        rec = FlightRecorder(capacity=8, enabled=False)
-        rec.record("k")
-        assert len(rec) == 0 and rec.total == 0
-
     def test_clear_resets_counters(self):
-        rec = FlightRecorder(capacity=2, enabled=True)
+        rec = FlightRecorder(capacity=2)
         for _ in range(5):
             rec.record("k")
         rec.clear()
         assert len(rec) == 0 and rec.total == 0 and rec.dropped == 0
 
     def test_timestamp_defaults_to_now(self):
-        rec = FlightRecorder(capacity=2, enabled=True)
+        rec = FlightRecorder(capacity=2)
         before = time.time()
         rec.record("k")
         assert before <= rec.last()["ts"] <= time.time()
@@ -77,31 +71,9 @@ class TestRing:
             FlightRecorder(capacity=0)
 
 
-class TestEnvKnobs:
-    def test_enable_env_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(ENABLE_ENV, "0")
-        assert FlightRecorder().enabled is False
-        monkeypatch.setenv(ENABLE_ENV, "1")
-        assert FlightRecorder().enabled is True
-        monkeypatch.delenv(ENABLE_ENV)
-        assert FlightRecorder().enabled is True  # on by default
-
-    def test_capacity_env_resizes_ring(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV, "2")
-        rec = FlightRecorder(enabled=True)
-        assert rec.capacity == 2
-        for i in range(4):
-            rec.record("k", {"i": i})
-        assert len(rec) == 2
-
-    def test_malformed_capacity_falls_back(self, monkeypatch):
-        monkeypatch.setenv(CAPACITY_ENV, "lots")
-        assert FlightRecorder().capacity == DEFAULT_CAPACITY
-
-
 class TestDump:
     def test_dump_header_and_records(self):
-        rec = FlightRecorder(capacity=2, enabled=True)
+        rec = FlightRecorder(capacity=2)
         for i in range(3):
             rec.record("k", {"i": i})
         dump = rec.dump()
@@ -111,7 +83,7 @@ class TestDump:
         assert [r["data"]["i"] for r in dump["records"]] == [1, 2]
 
     def test_dump_json_round_trip(self, tmp_path):
-        rec = FlightRecorder(capacity=8, enabled=True)
+        rec = FlightRecorder(capacity=8)
         rec.record("k", {"i": 1}, ts=5.0)
         path = rec.dump_json(tmp_path / "nested" / "flightrec.json")
         with open(path) as f:
@@ -121,27 +93,30 @@ class TestDump:
 
 
 class TestTaps:
-    """The existing publication points feed the global ring."""
+    """Each event-shaped datum lands on the global ring exactly once."""
 
     def test_tracer_spans_and_events_land_on_ring(self, tmp_path):
-        t = Tracer()
-        t.configure(str(tmp_path / "trace.jsonl"))
-        with t.span("unit.work"):
-            t.event("unit.tick", v=1)
-        t.close()
+        path = tmp_path / "trace.jsonl"
+        trace.configure(str(path))
+        with trace.span("unit.work"):
+            publish.emit("unit.tick", {"v": 1})
+        trace.close()
         kinds = [r["kind"] for r in get_recorder().snapshot()]
-        assert "trace.span_open" in kinds
-        assert "trace.span" in kinds  # close record through _emit
-        assert "trace.event" in kinds
+        assert kinds == ["trace.span_open", "unit.tick", "trace.span"]
         opened = get_recorder().snapshot(kind="trace.span_open")
         assert opened[0]["data"]["name"] == "unit.work"
+        # the emitted datum is also the trace's event record
+        (event,) = [r for r in read_events(str(path)) if r["type"] == "event"]
+        assert event["name"] == "unit.tick" and event["attrs"] == {"v": 1}
 
-    def test_store_samples_land_on_ring(self):
+    def test_store_samples_stay_off_the_ring(self):
         store = TimeSeriesStore()
         store.record("unit.metric", 2.5, ts=1.0)
-        (sample,) = get_recorder().snapshot(kind="series.sample")
-        assert sample["data"] == {"name": "unit.metric", "value": 2.5}
-        assert sample["ts"] == 1.0
+        registry = MetricsRegistry()
+        registry.counter("unit.count").inc()
+        store.sample_registry(registry, ts=2.0)
+        assert store.get("unit.count").points() == [(2.0, 1.0)]
+        assert get_recorder().snapshot() == []
 
     def test_alert_transitions_land_on_ring(self):
         store = TimeSeriesStore()
@@ -154,10 +129,15 @@ class TestTaps:
         assert tap["data"] == transition
 
     def test_bus_frames_land_on_ring(self):
-        from repro.obs.serve import EventBus
-
-        EventBus().publish("progress", {"done": 1})
-        (tap,) = get_recorder().snapshot(kind="bus.progress")
+        q = publish.subscribe()
+        try:
+            publish.emit("runtime.progress", {"done": 1},
+                         series={"unit.done": 1.0})
+        finally:
+            publish.unsubscribe(q)
+        assert q.get_nowait() == ("progress", {"done": 1})
+        (tap,) = get_recorder().snapshot()
+        assert tap["kind"] == "runtime.progress"
         assert tap["data"] == {"done": 1}
 
 
@@ -169,27 +149,29 @@ class TestOverheadBound:
         relative bound or a per-record cost so small (<5us) that it cannot
         amount to 5% of any sweep that emits telemetry at sane rates.
         """
-        on = FlightRecorder(capacity=DEFAULT_CAPACITY, enabled=True)
-        off = FlightRecorder(capacity=DEFAULT_CAPACITY, enabled=False)
+        on = FlightRecorder(capacity=DEFAULT_CAPACITY)
         n = 5000
         payload = {"name": "unit.metric", "value": 1.0}
 
-        def pump(rec):
-            for _ in range(n):
-                rec.record("series.sample", payload, ts=1.0)
+        def noop(kind, data=None, ts=None):
+            pass
 
-        def best_of(fn, rec, reps=5):
+        def pump(record):
+            for _ in range(n):
+                record("runtime.chunk", payload, ts=1.0)
+
+        def best_of(record, reps=5):
             best = float("inf")
             for _ in range(reps):
-                rec.clear()
+                on.clear()
                 t0 = time.perf_counter()
-                fn(rec)
+                pump(record)
                 best = min(best, time.perf_counter() - t0)
             return best
 
-        pump(on)  # warm caches before timing either variant
-        t_off = best_of(pump, off)
-        t_on = best_of(pump, on)
+        pump(on.record)  # warm caches before timing either variant
+        t_off = best_of(noop)
+        t_on = best_of(on.record)
         per_record = (t_on - t_off) / n
         assert t_on < t_off * 1.05 or per_record < 5e-6, (
             f"flight-recorder overhead too high: {t_on / t_off:.3f}x "

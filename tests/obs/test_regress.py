@@ -1,20 +1,17 @@
-"""Regression detection: comparison semantics, exit codes, sync health."""
+"""Regression detection: comparison semantics, exit codes, baselines."""
 
 import json
 
 
 from repro.cli import main
 from repro.core.phasesync import PHASE_ERROR_BUDGET_P95_RAD
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.regress import (
     EXIT_BREACH,
     EXIT_NO_BASELINE,
     EXIT_OK,
-    SYNC_HEALTH_MIN_SAMPLES,
     compare,
     load_baseline,
     make_baseline,
-    sync_health_alarms,
     write_baseline,
 )
 
@@ -135,29 +132,3 @@ class TestCliExitCodes:
         assert main(["obs", "regress", "--baseline", str(baseline),
                      "--current", current, "--update-baseline"]) == EXIT_OK
         assert load_baseline(str(baseline))["checks"]["a"]["value"] == 1.0
-
-
-class TestSyncHealth:
-    def _registry_with(self, p95_scale: float) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        hist = reg.histogram("mac.phase_error_rad")
-        for i in range(SYNC_HEALTH_MIN_SAMPLES + 5):
-            hist.observe(p95_scale * PHASE_ERROR_BUDGET_P95_RAD)
-        return reg
-
-    def test_alarm_on_budget_breach(self):
-        alarms = sync_health_alarms(self._registry_with(2.0))
-        (alarm,) = alarms
-        assert alarm["kind"] == "sync_health"
-        assert alarm["metric"] == "mac.phase_error_rad"
-        assert alarm["p95_rad"] > alarm["budget_rad"]
-
-    def test_quiet_within_budget(self):
-        assert sync_health_alarms(self._registry_with(0.5)) == []
-
-    def test_quiet_with_too_few_samples(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("mac.phase_error_rad")
-        for _ in range(SYNC_HEALTH_MIN_SAMPLES - 1):
-            hist.observe(10 * PHASE_ERROR_BUDGET_P95_RAD)
-        assert sync_health_alarms(reg) == []

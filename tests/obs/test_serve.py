@@ -1,4 +1,4 @@
-"""Live telemetry endpoint: routes, SSE stream, event bus, watch client."""
+"""Live telemetry endpoint: routes, SSE stream, emit fan-out, watch client."""
 
 import io
 import json
@@ -7,13 +7,13 @@ import urllib.request
 
 import pytest
 
+from repro.obs import publish
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.export import validate_openmetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.serve import (
     EXIT_ALERT,
     OPENMETRICS_CONTENT_TYPE,
-    EventBus,
     TelemetryServer,
     _iter_sse_frames,
     fetch_json,
@@ -38,7 +38,7 @@ def server():
     ])
     srv = TelemetryServer(
         port=0, registry=registry, store=store, engine=engine,
-        bus=EventBus(), eval_interval_s=10.0,  # evaluate manually in tests
+        eval_interval_s=10.0,  # evaluate manually in tests
     )
     srv.start()
     yield srv
@@ -163,37 +163,57 @@ class TestSse:
         assert len(frames) < 99
 
 
+@pytest.fixture
+def subscribers():
+    """Subscribe queues to the emit fan-out; unsubscribe them afterwards."""
+    queues = []
+
+    def make(maxsize=publish.SUBSCRIBER_QUEUE_SIZE):
+        q = publish.subscribe(maxsize=maxsize)
+        queues.append(q)
+        return q
+
+    yield make
+    for q in queues:
+        publish.unsubscribe(q)
+
+
 class TestEventBus:
-    def test_fanout_to_all_subscribers(self):
-        bus = EventBus()
-        a, b = bus.subscribe(), bus.subscribe()
-        bus.publish("tick", {"n": 1})
+    """The /events fan-out behind :func:`repro.obs.publish.emit`."""
+
+    def test_fanout_to_all_subscribers(self, subscribers):
+        from repro.obs.publish import _EVENTS_DROPPED
+
+        before = _EVENTS_DROPPED.value
+        a, b = subscribers(), subscribers()
+        publish.emit("unit.tick", {"n": 1})
         assert a.get_nowait() == ("tick", {"n": 1})
         assert b.get_nowait() == ("tick", {"n": 1})
-        assert bus.published == 1 and bus.dropped == 0
+        assert a.empty() and b.empty()
+        assert _EVENTS_DROPPED.value == before
 
-    def test_full_subscriber_drops_without_blocking(self):
-        bus = EventBus(maxsize=2)
-        q = bus.subscribe()
+    def test_full_subscriber_drops_without_blocking(self, subscribers):
+        from repro.obs.publish import _EVENTS_DROPPED
+
+        before = _EVENTS_DROPPED.value
+        q = subscribers(maxsize=2)
         for i in range(5):
-            bus.publish("tick", {"n": i})
-        assert bus.dropped == 3
+            publish.emit("unit.tick", {"n": i})
+        assert _EVENTS_DROPPED.value == before + 3
         assert q.qsize() == 2
         assert q.get_nowait()[1] == {"n": 0}  # oldest frames are kept
 
     def test_unsubscribe_stops_delivery(self):
-        bus = EventBus()
-        q = bus.subscribe()
-        bus.unsubscribe(q)
-        bus.publish("tick", {})
+        q = publish.subscribe()
+        publish.unsubscribe(q)
+        publish.emit("unit.tick", {})
         with pytest.raises(queue.Empty):
             q.get_nowait()
 
-    def test_payload_is_copied_per_subscriber(self):
-        bus = EventBus()
-        a, b = bus.subscribe(), bus.subscribe()
+    def test_payload_is_copied_per_subscriber(self, subscribers):
+        a, b = subscribers(), subscribers()
         payload = {"n": 1}
-        bus.publish("tick", payload)
+        publish.emit("unit.tick", payload)
         payload["n"] = 99  # later producer-side mutation must not leak
         frame_a = a.get_nowait()[1]
         assert frame_a == {"n": 1}
@@ -269,31 +289,31 @@ class TestRenderStatus:
 
 
 class TestDropTelemetry:
-    """Satellite: bus drops surface as the obs.events.dropped counter."""
+    """Satellite: subscriber drops surface as the obs.events.dropped counter."""
 
-    def test_drops_land_on_metric_and_series(self):
-        from repro.obs.serve import _EVENTS_DROPPED
-        from repro.obs.timeseries import get_store
+    def test_drops_land_on_metric_and_series(self, subscribers):
+        from repro.obs.metrics import get_registry
+        from repro.obs.publish import _EVENTS_DROPPED
+        from repro.obs.timeseries import TimeSeriesStore
 
         before = _EVENTS_DROPPED.value
-        bus = EventBus(maxsize=1)
-        bus.subscribe()
+        subscribers(maxsize=1)
         for i in range(4):
-            bus.publish("tick", {"n": i})
-        assert bus.dropped == 3
+            publish.emit("unit.tick", {"n": i})
         assert _EVENTS_DROPPED.value == before + 3
-        series = get_store().get("obs.events.dropped")
+        # the evaluator's registry sampling gives the counter its history
+        store = TimeSeriesStore()
+        store.sample_registry(get_registry(), ts=1.0)
+        series = store.get("obs.events.dropped")
         assert series is not None
         assert series.points()[-1][1] == float(_EVENTS_DROPPED.value)
 
-    def test_clean_publish_records_nothing_new(self):
-        from repro.obs.serve import _EVENTS_DROPPED
+    def test_clean_publish_records_nothing_new(self, subscribers):
+        from repro.obs.publish import _EVENTS_DROPPED
 
         before = _EVENTS_DROPPED.value
-        bus = EventBus(maxsize=4)
-        bus.subscribe()
-        bus.publish("tick", {"n": 1})
-        assert bus.dropped == 0
+        subscribers(maxsize=4)
+        publish.emit("unit.tick", {"n": 1})
         assert _EVENTS_DROPPED.value == before
 
 
@@ -368,3 +388,74 @@ class TestStreamEvents:
         payloads = [json.loads(ln)["n"] for ln in lines if ln.startswith("{")]
         assert payloads == [1, 2]
         assert sum("reconnecting" in ln for ln in lines) == 2
+
+
+class TestOneRecordPerDatum:
+    """Each emitted datum is one flight-recorder record, served or not."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_ring(self):
+        from repro.obs.flightrec import get_recorder
+
+        get_recorder().clear()
+        yield
+        get_recorder().clear()
+
+    @staticmethod
+    def _kinds():
+        from repro.obs.flightrec import get_recorder
+
+        return [r["kind"] for r in get_recorder().snapshot()]
+
+    def test_traced_served_sweep_records_each_tick_and_chunk_once(
+        self, tmp_path
+    ):
+        import threading
+
+        from repro.obs import trace
+        from repro.obs.events import read_events
+        from repro.sim.experiments import run_fig6
+
+        server = TelemetryServer(port=0, store=TimeSeriesStore(),
+                                 eval_interval_s=0.01).start()
+        frames = []
+        connected = threading.Event()
+
+        def read_sse():
+            with urllib.request.urlopen(server.url + "/events",
+                                        timeout=10.0) as resp:
+                connected.set()
+                frames.extend(kind for kind, _ in _iter_sse_frames(resp)
+                              if kind is not None)
+
+        reader = threading.Thread(target=read_sse)
+        reader.start()
+        assert connected.wait(5.0)
+        path = tmp_path / "fig6.jsonl"
+        trace.configure(str(path))
+        try:
+            run_fig6(seed=1, n_channels=16)
+            server.evaluate_once()  # at least one registry sample
+        finally:
+            trace.close()
+            server.stop()
+            reader.join(timeout=10.0)
+        events = [r["name"] for r in read_events(str(path))
+                  if r["type"] == "event"]
+        kinds = self._kinds()
+        for kind in ("runtime.progress", "runtime.chunk"):
+            assert events.count(kind) >= 1
+            assert kinds.count(kind) == events.count(kind), kind
+        assert not [k for k in kinds if k.startswith(("series.", "bus."))]
+        assert "trace.event" not in kinds
+        assert "progress" in frames
+
+    def test_served_simulate_keeps_samples_off_the_ring(self, capsys):
+        from repro.cli import main
+
+        assert main(["simulate", "--n-aps", "4", "--n-clients", "4",
+                     "--duration", "0.1", "--seed", "3",
+                     "--serve-port", "0", "--no-ledger"]) == 0
+        kinds = self._kinds()
+        assert kinds.count("obs.serve") == 2  # started + stopping
+        assert not [k for k in kinds if k.startswith(("series.", "bus."))]

@@ -17,6 +17,7 @@ import pytest
 from repro.obs import blackbox
 from repro.obs.alerts import AlertEngine, builtin_rules
 from repro.obs.flightrec import get_recorder
+from repro.obs.metrics import get_registry
 from repro.obs.timeseries import get_store
 from repro.runtime import CellSpec, run_sweep
 from repro.runtime import faults, watchdog
@@ -188,17 +189,17 @@ class TestStallRecovery:
     def test_stall_telemetry_and_builtin_alert(self, reference, hang):
         run_sweep("wd", mean_kernel, CELLS, master_seed=7,
                   chunk_size=2, workers=2)
-        # the monitor thread recorded the stall on the flight recorder...
+        # the monitor thread emitted the stall onto the flight recorder once...
         (event,) = get_recorder().snapshot(kind="runtime.watchdog")
         assert event["data"]["sweep"] == "wd"
         assert event["data"]["mode"] == "pool"
-        # ...and into the time-series store, where the builtin critical
-        # rule declares it on the next evaluation pass
+        # ...and counted it, which the builtin critical rule declares in
+        # the end-of-run verdict (the registry sample feeds the series)
         engine = AlertEngine(builtin_rules())
-        transitions = engine.evaluate(get_store())
-        stall = [t for t in transitions if t["rule"] == "runtime.watchdog_stall"]
-        assert stall and stall[0]["status"] == "firing"
-        assert stall[0]["severity"] == "critical"
+        alarms = engine.judge_run(get_store(), get_registry())
+        stall = [a for a in alarms if a["rule"] == "runtime.watchdog_stall"]
+        assert stall and stall[0]["severity"] == "critical"
+        assert stall[0]["value"] >= 1
 
     def test_disabled_watchdog_leaves_hang_alone(self, monkeypatch, reference):
         # short *natural* hang, watchdog off: the chunk is merely slow

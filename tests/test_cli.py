@@ -145,15 +145,43 @@ class TestLiveTelemetry:
         ledger = tmp_path / "runs" / "ledger.jsonl"
         record = json.loads(ledger.read_text().splitlines()[-1])
         assert record["status"] == "alert"
-        # both vocabularies land side by side: the exit-time sync-health
-        # alarms (kind-only) and the live alert-engine firings (rule-keyed)
-        rules = {a.get("rule") for a in record["alarms"]}
-        assert "mac.phase_error_p95" in rules
-        (p95,) = [a for a in record["alarms"]
-                  if a.get("rule") == "mac.phase_error_p95"]
-        assert p95["kind"] == "alert_budget"
-        assert p95["severity"] == "critical"
+        self._assert_one_alarm_per_rule(record["alarms"])
+
+    @staticmethod
+    def _assert_one_alarm_per_rule(alarms):
+        # the MAC records its phase errors under mac.* only, and the
+        # alert engine is the one budget verdict: two budget alarms plus
+        # the critical alert's crash bundle
+        assert [(a["kind"], a.get("rule"), a["severity"]) for a in alarms] == [
+            ("alert_budget", "mac.phase_error_p50", "warning"),
+            ("alert_budget", "mac.phase_error_p95", "critical"),
+            ("crash_bundle", None, "critical"),
+        ]
+        p95 = alarms[1]
         assert p95["value"] > p95["threshold"]
+
+    def test_injected_sync_fault_fails_the_run_without_a_server(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_PHASE_SIGMA_SCALE", "40")
+        code = main([
+            "simulate", "--n-aps", "2", "--n-clients", "2",
+            "--duration", "0.05", "--seed", "3", "--fail-on-alert",
+        ])
+        assert code == 3
+        ledger = tmp_path / "runs" / "ledger.jsonl"
+        record = json.loads(ledger.read_text().splitlines()[-1])
+        assert record["status"] == "alert"
+        self._assert_one_alarm_per_rule(record["alarms"])
+
+    def test_verdict_judges_each_run_alone(self, capsys, monkeypatch):
+        argv = ["simulate", "--n-aps", "2", "--n-clients", "2",
+                "--duration", "0.05", "--seed", "3", "--fail-on-alert"]
+        monkeypatch.setenv("REPRO_PHASE_SIGMA_SCALE", "40")
+        assert main(argv) == 3
+        # a healthy run in the same process inherits none of the breach
+        monkeypatch.delenv("REPRO_PHASE_SIGMA_SCALE")
+        assert main(argv) == 0
 
     def test_same_fault_without_fail_on_alert_still_exits_zero(
         self, clean_store, capsys, monkeypatch
