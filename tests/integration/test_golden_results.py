@@ -94,3 +94,111 @@ class TestGoldenMac:
         if name == "poisson_backhaul":
             assert trace.n_failures > 0  # requeues are exercised
         assert mac_trace_digest(trace) == GOLDEN["mac_trace_digests"][name]
+
+
+#: fixed-seed sample-level systems pinned by ``phy_joint_digests``; each
+#: entry builds a system, sounds once and runs ``calls`` transmissions
+PHY_CONFIGS = {
+    # the benchmark's phy_joint_tx system: 4x4, Rician K=8, 25 dB, MCS 2
+    **{
+        f"rician4x4_seed{seed}": dict(
+            system=dict(n_aps=4, n_clients=4, seed=seed), snr_db=25.0,
+            mcs=2, payload_bytes=400, calls=2,
+        )
+        for seed in (1, 2, 3)
+    },
+    # some CRCs fail, some pass
+    "low_snr_mixed": dict(
+        system=dict(n_aps=3, n_clients=3, seed=5), snr_db=10.0,
+        mcs=2, payload_bytes=200, calls=3,
+    ),
+    # every CRC fails and one SIGNAL field does not parse
+    "low_snr_signal_loss": dict(
+        system=dict(n_aps=3, n_clients=3, seed=5), snr_db=8.0,
+        mcs=2, payload_bytes=200, calls=1,
+    ),
+    "detection": dict(
+        system=dict(n_aps=2, n_clients=2, seed=8, use_detection=True),
+        snr_db=20.0, mcs=2, payload_bytes=200, calls=2,
+    ),
+    # 64QAM-3/4: the rate-3/4 puncturing path
+    "mcs7_2x2": dict(
+        system=dict(n_aps=2, n_clients=2, seed=9), snr_db=32.0,
+        mcs=7, payload_bytes=300, calls=2,
+    ),
+    "diversity": dict(
+        system=dict(n_aps=3, n_clients=1, seed=10), snr_db=12.0,
+        mcs=1, payload_bytes=100, calls=1, diversity=True,
+    ),
+    # without in-packet CFO tracking the slaves drift: some frames fail
+    "no_tracking": dict(
+        system=dict(n_aps=2, n_clients=2, seed=11,
+                    sync_strategy="megamimo-no-tracking"),
+        snr_db=25.0, mcs=0, payload_bytes=20, calls=2,
+    ),
+}
+
+
+def phy_reports(name: str):
+    """Run one ``PHY_CONFIGS`` entry; returns its JointTransmissionReports."""
+    from repro import MegaMimoSystem, SystemConfig, get_mcs
+    from repro.channel.models import RicianChannel
+
+    spec = PHY_CONFIGS[name]
+    system = MegaMimoSystem.create(
+        SystemConfig(**spec["system"]),
+        client_snr_db=spec["snr_db"],
+        channel_model=RicianChannel(k_factor=8.0),
+    )
+    system.run_sounding(0.0)
+    mcs = get_mcs(spec["mcs"])
+    rng = np.random.default_rng(spec["system"]["seed"])
+    reports = []
+    for k in range(spec["calls"]):
+        start = 1e-3 + k * 2e-3
+        if spec.get("diversity"):
+            payload = rng.bytes(spec["payload_bytes"])
+            reports.append(system.diversity_transmit(payload, mcs, 0, start))
+        else:
+            payloads = [
+                rng.bytes(spec["payload_bytes"])
+                for _ in range(spec["system"]["n_clients"])
+            ]
+            reports.append(system.joint_transmit(payloads, mcs, start_time=start))
+    return reports
+
+
+def phy_reports_digest(reports) -> str:
+    """SHA-256 over each reception's outcome and each slave's misalignment.
+
+    Floats enter as ``float.hex`` so the digest pins them bit for bit.
+    """
+    rows = []
+    for report in reports:
+        rows.append([
+            [
+                [
+                    bool(r.decoded.crc_ok),
+                    r.decoded.payload.hex() if r.decoded.payload is not None else None,
+                    float(r.effective_snr_db).hex(),
+                    float(r.evm_db).hex(),
+                ]
+                for r in report.receptions
+            ],
+            [[ap, float(v).hex()] for ap, v in sorted(report.misalignment_rad.items())],
+        ])
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+class TestGoldenPhy:
+    @pytest.mark.parametrize("name", sorted(PHY_CONFIGS))
+    def test_joint_digest(self, name):
+        reports = phy_reports(name)
+        outcomes = [r.decoded.crc_ok for rep in reports for r in rep.receptions]
+        if name == "low_snr_mixed":
+            assert any(outcomes) and not all(outcomes)
+        if name == "low_snr_signal_loss":
+            assert any(
+                r.decoded.mcs is None for rep in reports for r in rep.receptions
+            )
+        assert phy_reports_digest(reports) == GOLDEN["phy_joint_digests"][name]
