@@ -37,6 +37,18 @@ def test_perf_viterbi_decode(benchmark):
     assert np.array_equal(decoded, bits)
 
 
+def test_perf_viterbi_decode_batch(benchmark):
+    """One joint transmission's payloads: 4 x 400 B frames in one pass."""
+    code = ConvolutionalCode()
+    rng = np.random.default_rng(5)
+    n_bits = 8 * (400 + 4)
+    bits = rng.integers(0, 2, (4, n_bits)).astype(np.uint8)
+    coded = np.stack([code.encode(row) for row in bits])
+    llrs = 1.0 - 2.0 * coded + rng.normal(0.0, 0.5, coded.shape)
+    decoded = benchmark(code.decode, llrs, n_bits)
+    assert np.array_equal(decoded, bits)
+
+
 def test_perf_frame_encode(benchmark, payload):
     encoder = PhyFrameEncoder(FrameConfig(sample_rate=10e6))
     mcs = get_mcs(7)
@@ -64,6 +76,23 @@ def test_perf_ofdm_symbol_roundtrip(benchmark):
         return demod.demodulate_symbol(samples, channel, symbol_index=3)
 
     eq = benchmark(roundtrip)
+    assert np.allclose(eq.data, data, atol=1e-9)
+
+
+def test_perf_ofdm_demod_frame(benchmark):
+    """A 70-symbol frame through one demodulate_symbol call."""
+    mod, demod = OfdmModulator(), OfdmDemodulator()
+    rng = np.random.default_rng(6)
+    data = np.exp(2j * np.pi * rng.uniform(size=(70, 48)))
+    channel = rng.normal(size=64) + 1j * rng.normal(size=64)
+    samples = mod.modulate_frame(data, first_symbol_index=1)
+    received = np.fft.ifft(
+        np.fft.fft(samples.reshape(70, 80)[:, 16:], axis=-1) * channel, axis=-1
+    )
+    received = np.concatenate([received[:, -16:], received], axis=-1)
+
+    eq = benchmark(demod.demodulate_symbol, received, channel, 1)
+    assert eq.data.shape == (70, 48)
     assert np.allclose(eq.data, data, atol=1e-9)
 
 

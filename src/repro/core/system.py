@@ -48,7 +48,7 @@ from repro.phy.cfo import apply_cfo, combine_cfo, estimate_cfo_coarse, estimate_
 from repro.phy.channel_est import average_channel_estimates, estimate_channel_lts
 from repro.phy.frame import DecodedFrame, FrameConfig, PhyFrameDecoder, PhyFrameEncoder
 from repro.phy.mcs import Mcs
-from repro.phy.ofdm import OfdmDemodulator, OfdmModulator
+from repro.phy.ofdm import EqualizedSymbol, OfdmDemodulator, OfdmModulator
 from repro.phy.preamble import lts_grid, lts_symbol_offsets, sync_header, sync_header_length
 from repro.radio.frontend import RadioFrontend
 from repro.radio.timing import TimingConfig, TriggerTimer
@@ -517,14 +517,7 @@ class MegaMimoSystem:
             w = precoders[b]  # (n_antennas, n_streams)
             # (n_antennas, n_symbols) = (n_antennas, n_streams) @ (n_streams, n_symbols)
             ap_grids[:, :, b] = w @ stream_grids[:, :, b]
-        samples = np.empty((n_aps, n_symbols * SYMBOL_LENGTH), dtype=complex)
-        for a in range(n_aps):
-            chunks = [
-                self._modulator.modulate_grid(ap_grids[a, m])
-                for m in range(n_symbols)
-            ]
-            samples[a] = np.concatenate(chunks)
-        return samples
+        return self._modulator.modulate_grid(ap_grids).reshape(n_aps, -1)
 
     def _stream_grids(self, payloads: Sequence[bytes], mcs: Mcs) -> np.ndarray:
         """Per-stream grids: 2 beamformed LTS symbols + SIGNAL + data."""
@@ -539,12 +532,9 @@ class MegaMimoSystem:
                 "all joint payloads must occupy the same number of symbols "
                 "(MegaMIMO gives every client the same rate, §9)",
             )
-            stream = [lts_grid(), lts_grid()]
-            stream += [
-                self._modulator.symbol_grid(fd_symbols[m], symbol_index=m)
-                for m in range(fd_symbols.shape[0])
-            ]
-            grids.append(np.stack(stream))
+            grids.append(np.vstack([
+                lts_grid(), lts_grid(), self._modulator.symbol_grid(fd_symbols)
+            ]))
         return np.stack(grids)  # (n_streams, 2 + 1 + n_data, 64)
 
     def _slave_correction(
@@ -697,14 +687,12 @@ class MegaMimoSystem:
                 self.medium.transmit(antenna, tx, node_start)
 
         # 5. client antennas receive and decode their streams
-        n_symbols = stream_grids.shape[1]
-        receptions = []
-        for stream_idx, row_idx in enumerate(streams):
-            node = self.client_antenna_ids[row_idx]
-            reception = self._receive_and_decode(
-                node, start_time, joint_start, n_symbols
-            )
-            receptions.append(reception)
+        receptions = self._receive_and_decode(
+            [self.client_antenna_ids[row] for row in streams],
+            start_time,
+            joint_start,
+            stream_grids.shape[1],
+        )
 
         self.medium.clear()
         return JointTransmissionReport(
@@ -782,14 +770,18 @@ class MegaMimoSystem:
             self.detection_failures += 1
         return self.medium.receive(node, start_time, header_len)
 
-    def _receive_and_decode(
+    def _receive(
         self,
         client: str,
         header_start: float,
         joint_start: float,
         n_symbols: int,
-    ) -> ClientReception:
-        """Standard-OFDM client receive chain for one joint frame."""
+    ) -> Optional[EqualizedSymbol]:
+        """Standard-OFDM client receive chain up to the equalized frame.
+
+        Returns the SIGNAL + data symbols demodulated with pilot phase
+        tracking, or None when packet detection misses the header.
+        """
         cfg = self.config
         fs = cfg.sample_rate
         total = int(round((joint_start - header_start) * fs)) + n_symbols * SYMBOL_LENGTH
@@ -802,11 +794,7 @@ class MegaMimoSystem:
                 )
             rx = self._detect_and_align(capture)
             if rx is None or rx.size < total:
-                return ClientReception(
-                    decoded=DecodedFrame(payload=None, crc_ok=False, mcs=None),
-                    effective_snr_db=-np.inf,
-                    evm_db=np.nan,
-                )
+                return None
             rx = rx[:total]
         else:
             with trace.span("channel_apply", node=client):
@@ -828,25 +816,49 @@ class MegaMimoSystem:
                 est.append(estimate_channel_lts(rx[s : s + FFT_SIZE]))
             effective = average_channel_estimates(est)
 
-            # demodulate SIGNAL + data with pilot phase tracking
             data_start = joint_off + 2 * SYMBOL_LENGTH
-            symbols = []
-            pilot_snrs = []
-            for m in range(n_symbols - 2):
-                s = data_start + m * SYMBOL_LENGTH
-                eq = self._demodulator.demodulate_symbol(
-                    rx[s : s + SYMBOL_LENGTH], effective, symbol_index=m
+            samples = rx[data_start:total].reshape(n_symbols - 2, SYMBOL_LENGTH)
+            return self._demodulator.demodulate_symbol(samples, effective)
+
+    def _receive_and_decode(
+        self,
+        clients: Sequence[str],
+        header_start: float,
+        joint_start: float,
+        n_symbols: int,
+    ) -> List[ClientReception]:
+        """Every client receives in turn, then one decode call for all streams."""
+        equalized = [
+            self._receive(client, header_start, joint_start, n_symbols)
+            for client in clients
+        ]
+        received = [eq for eq in equalized if eq is not None]
+        decoded: List[DecodedFrame] = []
+        if received:
+            noise_vars = [
+                float(np.mean(1.0 / np.maximum(eq.pilot_snr, 1e-6))) for eq in received
+            ]
+            with trace.span("decode", n_streams=len(received)):
+                decoded = self._decoder.decode(
+                    np.stack([eq.data for eq in received]), noise_var=np.array(noise_vars)
                 )
-                symbols.append(eq.data)
-                pilot_snrs.append(eq.pilot_snr)
-            symbols = np.stack(symbols)
-            noise_var = float(np.mean(1.0 / np.maximum(pilot_snrs, 1e-6)))
-        with trace.span("decode", node=client):
-            decoded = self._decoder.decode(symbols, noise_var=noise_var)
-        snr_db = float(linear_to_db(np.mean(pilot_snrs)))
-        return ClientReception(
-            decoded=decoded, effective_snr_db=snr_db, evm_db=decoded.evm_db
-        )
+        frames = iter(decoded)
+        receptions = []
+        for eq in equalized:
+            if eq is None:
+                receptions.append(ClientReception(
+                    decoded=DecodedFrame(payload=None, crc_ok=False, mcs=None),
+                    effective_snr_db=-np.inf,
+                    evm_db=np.nan,
+                ))
+                continue
+            frame = next(frames)
+            receptions.append(ClientReception(
+                decoded=frame,
+                effective_snr_db=float(linear_to_db(np.mean(eq.pilot_snr))),
+                evm_db=frame.evm_db,
+            ))
+        return receptions
 
     # ------------------------------------------------------------------
     # diversity mode (§8)
@@ -915,15 +927,15 @@ class MegaMimoSystem:
             tx = self.frontends[antenna].prepare_transmit(tx, enforce_power=False)
             self.medium.transmit(antenna, tx, joint_start)
 
-        reception = self._receive_and_decode(
-            self.client_antenna_ids[client_index],
+        receptions = self._receive_and_decode(
+            [self.client_antenna_ids[client_index]],
             start_time,
             joint_start,
             stream_grids.shape[1],
         )
         self.medium.clear()
         return JointTransmissionReport(
-            receptions=[reception],
+            receptions=receptions,
             misalignment_rad=misalignment,
             joint_start_time=joint_start,
             precoder_gain=1.0,

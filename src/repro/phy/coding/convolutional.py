@@ -1,9 +1,11 @@
 """Rate-1/2 convolutional code with Viterbi decoding.
 
 The industry-standard K=7 code with generators (133, 171) octal used by
-802.11a/g/n.  The Viterbi decoder is vectorized over the 64 trellis states
-and supports both hard (Hamming) and soft (LLR correlation) branch metrics,
-plus depunctured input where erased positions carry zero metric.
+802.11a/g/n.  The Viterbi decoder runs a batch of equal-length frames
+through one add-compare-select pass, vectorized over frames and the 64
+trellis states, and supports both hard (Hamming) and soft (LLR correlation)
+branch metrics, plus depunctured input where erased positions carry zero
+metric.
 """
 
 from __future__ import annotations
@@ -29,10 +31,15 @@ class ConvolutionalCode:
 
     The encoder is zero-terminated: ``encode`` appends K-1 tail zeros so the
     trellis ends in state 0, which the decoder exploits for traceback.
+    Constraint lengths 4..7 are supported (one decision word per step).
     """
+
+    #: trellis steps whose branch metrics are computed in one product
+    BLOCK_STEPS = 256
 
     def __init__(self, constraint_length: int = CONV_K,
                  g0: int = CONV_G0, g1: int = CONV_G1):
+        require(4 <= constraint_length <= 7, "constraint length must be 4..7")
         self.constraint_length = constraint_length
         self.n_states = 1 << (constraint_length - 1)
         self.g0 = g0
@@ -40,29 +47,34 @@ class ConvolutionalCode:
         self._build_trellis()
 
     def _build_trellis(self) -> None:
+        k = self.constraint_length
         states = np.arange(self.n_states)
         # next state and output bits for input 0 and 1
         self.next_state = np.empty((self.n_states, 2), dtype=np.int64)
         self.output_bits = np.empty((self.n_states, 2, 2), dtype=np.uint8)
         for bit in (0, 1):
             # shift register: [input, state bits]; register = bit<<(K-1) | state
-            register = (bit << (self.constraint_length - 1)) | states
+            register = (bit << (k - 1)) | states
             self.next_state[:, bit] = register >> 1
             self.output_bits[:, bit, 0] = _parity(register & self.g0)
             self.output_bits[:, bit, 1] = _parity(register & self.g1)
-        # predecessor table for traceback-free vectorized decode
-        # prev_state[s, j]: the j-th predecessor of state s, with input bit
-        # prev_bit[s, j]
-        self.prev_state = np.empty((self.n_states, 2), dtype=np.int64)
-        self.prev_bit = np.empty((self.n_states, 2), dtype=np.uint8)
-        counts = np.zeros(self.n_states, dtype=np.int64)
-        for s in range(self.n_states):
-            for bit in (0, 1):
-                ns = self.next_state[s, bit]
-                self.prev_state[ns, counts[ns]] = s
-                self.prev_bit[ns, counts[ns]] = bit
-                counts[ns] += 1
-        require(bool(np.all(counts == 2)), "malformed trellis")
+        # butterfly: state ns is entered from predecessors 2*(ns & (S/2-1)) + j,
+        # j = 0, 1, both with input bit ns >> (K-2)
+        half = self.n_states // 2
+        for j in (0, 1):
+            pred = 2 * (states & (half - 1)) + j
+            require(
+                bool(np.all(self.next_state[pred, states >> (k - 2)] == states)),
+                "malformed trellis",
+            )
+        # expected +-1 symbol of each coded bit on the branch into state ns
+        # from predecessor j, as [j, coded bit, ns]
+        j, ns = np.meshgrid([0, 1], states, indexing="ij")
+        branch_bits = self.output_bits[2 * (ns & (half - 1)) + j, ns >> (k - 2)]
+        self._branch_symbols = (1.0 - 2.0 * branch_bits).transpose(0, 2, 1)
+        # generator taps, current input first, for the encoder's convolution
+        shifts = np.arange(k - 1, -1, -1)
+        self._taps = [((g >> shifts) & 1).astype(np.uint8) for g in (self.g0, self.g1)]
 
     # -- encoding ----------------------------------------------------------
 
@@ -79,13 +91,10 @@ class ConvolutionalCode:
         """
         bits = np.asarray(bits, dtype=np.uint8).ravel()
         padded = np.concatenate([bits, np.zeros(self.n_tail_bits, dtype=np.uint8)])
-        out = np.empty(2 * padded.size, dtype=np.uint8)
-        state = 0
-        for i, b in enumerate(padded):
-            out[2 * i] = self.output_bits[state, b, 0]
-            out[2 * i + 1] = self.output_bits[state, b, 1]
-            state = self.next_state[state, b]
-        return out
+        out = np.empty((padded.size, 2), dtype=np.uint8)
+        for i, taps in enumerate(self._taps):
+            out[:, i] = np.convolve(padded, taps)[: padded.size] & 1
+        return out.ravel()
 
     # -- decoding ----------------------------------------------------------
 
@@ -96,54 +105,60 @@ class ConvolutionalCode:
             llrs: Soft values, one per coded bit, where positive favours
                 bit 0 and negative favours bit 1.  Hard decisions can be fed
                 as ``1 - 2*bit``.  Erased (punctured) positions must be 0.
+                Shape ``(n,)`` for one frame or ``(B, n)`` for B frames of
+                the same length, decoded in one pass.
             n_info_bits: Number of information bits to return (tail bits from
                 the zero-terminated encoder are stripped).
 
         Returns:
-            The maximum-likelihood information bit sequence.
+            The maximum-likelihood information bits, ``(n_info_bits,)`` or
+            ``(B, n_info_bits)``.  On equal path metrics predecessor 0 wins.
         """
-        llrs = np.asarray(llrs, dtype=float).ravel()
-        require(llrs.size % 2 == 0, "coded stream must contain bit pairs")
-        n_steps = llrs.size // 2
+        llrs = np.asarray(llrs, dtype=float)
+        require(llrs.ndim in (1, 2), "llrs must be (n,) or (B, n)")
+        frames = np.atleast_2d(llrs)
+        n_frames, n_coded = frames.shape
+        require(n_coded % 2 == 0, "coded stream must contain bit pairs")
+        n_steps = n_coded // 2
         require(
             n_steps >= n_info_bits,
             f"coded stream ({n_steps} steps) shorter than {n_info_bits} info bits",
         )
-        pairs = llrs.reshape(n_steps, 2)
+        pairs = frames.reshape(n_frames, n_steps, 2)
+        half = self.n_states // 2
 
-        # Branch metric for (state, input bit) at step t:
-        # correlation of expected +-1 symbols with the LLRs.
-        # expected symbol for coded bit b is (1 - 2b); metric = sum llr*(1-2b)
-        expected = 1.0 - 2.0 * self.output_bits.astype(float)  # (S, 2, 2)
+        metrics = np.full((n_frames, self.n_states), -1e18)
+        metrics[:, 0] = 0.0
+        # metrics[b, 2k + j] as [j, b, ., k]: predecessor j of states k, k + S/2
+        pred = metrics.reshape(n_frames, half, 2).transpose(2, 0, 1)[:, :, None, :]
+        survivors = metrics.reshape(n_frames, 2, half)
+        decisions = np.empty((n_steps, n_frames, 2, half), dtype=bool)
+        for t0 in range(0, n_steps, self.BLOCK_STEPS):
+            block = pairs[:, t0 : t0 + self.BLOCK_STEPS].transpose(1, 0, 2)[:, None]
+            # branch metrics, then path-metric candidates in place, as
+            # [t, j, b, input bit, k]
+            cand = np.matmul(block, self._branch_symbols)
+            cand = cand.reshape(-1, 2, n_frames, 2, half)
+            for step, cand0, cand1 in zip(cand, cand[:, 0], cand[:, 1]):
+                np.add(pred, step, out=step)
+                np.maximum(cand0, cand1, out=survivors)
+            np.greater(cand[:, 1], cand[:, 0], out=decisions[t0 : t0 + self.BLOCK_STEPS])
 
-        neg_inf = -1e18
-        metrics = np.full(self.n_states, neg_inf)
-        metrics[0] = 0.0
-        decisions = np.empty((n_steps, self.n_states), dtype=np.uint8)
-
-        prev_state = self.prev_state
-        prev_bit = self.prev_bit
-        # precompute every step's branch metrics, already gathered per
-        # (state, predecessor) — the add-compare-select loop then only does
-        # one add and one comparison per step
-        arrived = expected[prev_state, prev_bit]  # (S, 2, 2)
-        bm_all = pairs @ arrived.reshape(-1, 2).T  # (n_steps, S*2)
-        bm_all = bm_all.reshape(n_steps, self.n_states, 2)
-        state_range = np.arange(self.n_states)
-        for t in range(n_steps):
-            cand = metrics[prev_state] + bm_all[t]
-            choice = (cand[:, 1] > cand[:, 0]).astype(np.uint8)
-            metrics = cand[state_range, choice]
-            decisions[t] = choice
-
-        # traceback from state 0 (zero-terminated)
-        state = 0
-        out = np.empty(n_steps, dtype=np.uint8)
-        for t in range(n_steps - 1, -1, -1):
-            j = decisions[t, state]
-            out[t] = prev_bit[state, j]
-            state = prev_state[state, j]
-        return out[:n_info_bits]
+        # traceback from state 0 (zero-terminated); bit ns of a step's word
+        # is state ns's decision, and every state's input bit is ns >> (K-2)
+        words = np.packbits(
+            decisions.reshape(n_steps, n_frames, self.n_states), axis=-1, bitorder="little"
+        ).view(f"<u{self.n_states // 8}")[..., 0]
+        shift = self.constraint_length - 2
+        out = np.empty((n_frames, n_info_bits), dtype=np.uint8)
+        for b, row in enumerate(words.T.tolist()):
+            state = 0
+            bits = bytearray(n_steps)
+            for t in range(n_steps - 1, -1, -1):
+                bits[t] = state >> shift
+                state = ((state & (half - 1)) << 1) | ((row[t] >> state) & 1)
+            out[b] = np.frombuffer(bits, dtype=np.uint8, count=n_info_bits)
+        return out[0] if llrs.ndim == 1 else out
 
     def decode_hard(self, coded_bits: np.ndarray, n_info_bits: int) -> np.ndarray:
         """Viterbi decode from hard bit decisions."""

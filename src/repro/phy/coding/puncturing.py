@@ -49,17 +49,20 @@ class Puncturer:
         """Re-insert zero erasures to recover a length-``n_coded`` stream.
 
         Args:
-            values: Received soft values for the transmitted positions.
+            values: Received soft values for the transmitted positions, one
+                stream ``(n,)`` or a batch of streams ``(B, n)``.
             n_coded: Length of the mother-coded stream before puncturing.
         """
-        values = np.asarray(values, dtype=float).ravel()
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2:
+            values = values.ravel()
         expected = self.punctured_length(n_coded)
         require(
-            values.size == expected,
+            values.shape[-1] == expected,
             f"expected {expected} punctured values for {n_coded} coded bits, "
-            f"got {values.size}",
+            f"got {values.shape[-1]}",
         )
         mask = np.resize(self.pattern, n_coded)
-        out = np.zeros(n_coded, dtype=float)
-        out[mask] = values
+        out = np.zeros(values.shape[:-1] + (n_coded,), dtype=float)
+        out[..., mask] = values
         return out

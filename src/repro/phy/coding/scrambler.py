@@ -2,9 +2,29 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.utils.validation import require
+
+#: keystream period: x^7 + x^4 + 1 is primitive, so every non-zero seed
+#: cycles through all 127 non-zero states
+_PERIOD = 127
+
+
+@lru_cache(maxsize=None)
+def _period(seed: int) -> np.ndarray:
+    """One read-only period of the LFSR keystream started from ``seed``."""
+    state = seed
+    out = np.empty(_PERIOD, dtype=np.uint8)
+    for i in range(_PERIOD):
+        bit = ((state >> 6) ^ (state >> 3)) & 1
+        state = ((state << 1) | bit) & 0x7F
+        out[i] = bit
+    require(state == seed, "scrambler LFSR did not return to its seed")
+    out.flags.writeable = False
+    return out
 
 
 class Scrambler:
@@ -20,18 +40,17 @@ class Scrambler:
 
     def keystream(self, n_bits: int) -> np.ndarray:
         """Generate ``n_bits`` of the scrambling sequence."""
-        state = self.seed
-        out = np.empty(n_bits, dtype=np.uint8)
-        for i in range(n_bits):
-            bit = ((state >> 6) ^ (state >> 3)) & 1
-            state = ((state << 1) | bit) & 0x7F
-            out[i] = bit
-        return out
+        return np.resize(_period(self.seed), n_bits)
 
     def scramble(self, bits: np.ndarray) -> np.ndarray:
-        """XOR the data bits with the scrambler keystream."""
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        return bits ^ self.keystream(bits.size)
+        """XOR the data bits with the scrambler keystream.
+
+        A 2-D ``(B, n)`` input scrambles each row from the seed.
+        """
+        bits = np.asarray(bits, dtype=np.uint8)
+        if bits.ndim != 2:
+            bits = bits.ravel()
+        return bits ^ self.keystream(bits.shape[-1])
 
     # descrambling is identical
     descramble = scramble

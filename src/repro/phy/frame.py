@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.phy.coding import BlockInterleaver, ConvolutionalCode, Puncturer, Scrambler
 from repro.phy.mcs import Mcs, get_mcs
 from repro.phy.modulation import get_modulation
-from repro.phy.ofdm import OfdmDemodulator, OfdmModulator
+from repro.phy.ofdm import OfdmModulator
 from repro.utils.validation import require
 
 _CRC_BYTES = 4
@@ -152,96 +152,134 @@ class PhyFrameEncoder:
 
 
 class PhyFrameDecoder:
-    """Decode equalized frequency-domain symbols back to payload bytes."""
+    """Decode equalized frequency-domain symbols back to payload bytes.
+
+    Every method takes one frame or a stack of frames; a stack goes through
+    each coding step together, with one Viterbi call per step.
+    """
 
     def __init__(self, config: FrameConfig):
         self.config = config
         self._code = ConvolutionalCode()
-        self._demodulator = OfdmDemodulator()
 
     def decode_signal_field(self, symbol: np.ndarray):
-        """Parse an equalized SIGNAL symbol; returns (mcs, length) or None."""
-        symbol = np.asarray(symbol, dtype=complex).ravel()
-        llrs = get_modulation("BPSK").demodulate_soft(symbol)
+        """Parse an equalized SIGNAL symbol; returns (mcs, length) or None.
+
+        A ``(B, 48)`` input parses B SIGNAL symbols with one Viterbi call
+        and returns a list.
+        """
+        symbol = np.asarray(symbol, dtype=complex)
+        if symbol.ndim != 2:
+            symbol = symbol.ravel()
+        fields = symbol.reshape(-1, symbol.shape[-1])
+        llrs = get_modulation("BPSK").demodulate_soft(fields)
         interleaver = BlockInterleaver(48, 1)
-        deinterleaved = interleaver.deinterleave(llrs)
-        bits = self._code.decode(deinterleaved, 18)
-        rate_code = 0
-        for i in range(4):
-            rate_code = (rate_code << 1) | int(bits[i])
-        if bits[:17].sum() % 2 != bits[17]:
-            return None
-        if rate_code not in _RATE_CODES:
-            return None
-        mcs = get_mcs(_RATE_CODES.index(rate_code))
-        length = 0
-        for i in range(12):
-            length |= int(bits[5 + i]) << i
-        if length == 0:
-            return None
-        return mcs, length
+        deinterleaved = interleaver.deinterleave(llrs).reshape(fields.shape[0], -1)
+        bits = self._code.decode(deinterleaved, 18).astype(np.int64)
+        rate_codes = bits[:, :4] @ (1 << np.arange(3, -1, -1))
+        lengths = bits[:, 5:17] @ (1 << np.arange(12))
+        parity_ok = bits[:, :17].sum(axis=1) % 2 == bits[:, 17]
+        parsed = [
+            (get_mcs(_RATE_CODES.index(rate_code)), length)
+            if ok and rate_code in _RATE_CODES and length != 0
+            else None
+            for rate_code, length, ok in zip(
+                rate_codes.tolist(), lengths.tolist(), parity_ok.tolist()
+            )
+        ]
+        return parsed if symbol.ndim == 2 else parsed[0]
 
     def decode_payload(
         self,
         symbols: np.ndarray,
         mcs: Mcs,
         length: int,
-        noise_var: float = 0.05,
-    ) -> DecodedFrame:
-        """Decode equalized (n_symbols, 48) data symbols to payload bytes."""
+        noise_var=0.05,
+    ):
+        """Decode equalized (n_symbols, 48) data symbols to payload bytes.
+
+        A ``(B, n_symbols, 48)`` stack of frames with the same MCS and
+        length, with a scalar or one ``noise_var`` per frame, returns one
+        :class:`DecodedFrame` per frame.
+        """
         symbols = np.asarray(symbols, dtype=complex)
+        frames = symbols.reshape((-1,) + symbols.shape[-2:])
+        n_frames = frames.shape[0]
         n_bits = 8 * (length + _CRC_BYTES)
         n_coded = 2 * (n_bits + self._code.n_tail_bits)
         puncturer = Puncturer(mcs.coding_rate)
         n_tx = puncturer.punctured_length(n_coded)
         n_symbols = int(np.ceil(n_tx / mcs.coded_bits_per_symbol))
         require(
-            symbols.shape[0] >= n_symbols,
-            f"need {n_symbols} data symbols, got {symbols.shape[0]}",
+            frames.shape[1] >= n_symbols,
+            f"need {n_symbols} data symbols, got {frames.shape[1]}",
         )
-        flat = symbols[:n_symbols].reshape(-1)
+        flat = frames[:, :n_symbols].reshape(n_frames, -1)
 
         llrs = mcs.modulation.demodulate_soft(flat, noise_var=noise_var)
         interleaver = BlockInterleaver(mcs.coded_bits_per_symbol, mcs.bits_per_subcarrier)
-        deinterleaved = interleaver.deinterleave(llrs)
-        depunctured = puncturer.depuncture(deinterleaved[:n_tx], n_coded)
+        deinterleaved = interleaver.deinterleave(llrs).reshape(n_frames, -1)
+        depunctured = puncturer.depuncture(deinterleaved[:, :n_tx], n_coded)
         scrambled = self._code.decode(depunctured, n_bits)
 
         scrambler = Scrambler(self.config.scrambler_seed)
         bits = scrambler.descramble(scrambled)
-        data = bits_to_bytes(bits)
-        payload, crc = data[:-_CRC_BYTES], data[-_CRC_BYTES:]
-        crc_ok = zlib.crc32(payload).to_bytes(_CRC_BYTES, "little") == crc
 
         # EVM against nearest constellation point
-        hard = mcs.modulation.points[
-            np.argmin(np.abs(flat[:, None] - mcs.modulation.points[None, :]), axis=1)
-        ]
-        err = np.mean(np.abs(flat - hard) ** 2)
-        evm_db = float(10 * np.log10(max(err, 1e-12)))
-        return DecodedFrame(
-            payload=payload if crc_ok else None,
-            crc_ok=crc_ok,
-            mcs=mcs,
-            length=length,
-            evm_db=evm_db,
-        )
+        points = mcs.modulation.points
+        hard = points[np.argmin(np.abs(flat[..., None] - points), axis=-1)]
+        errors = np.mean(np.abs(flat - hard) ** 2, axis=-1)
 
-    def decode(self, symbols: np.ndarray, noise_var: float = 0.05) -> DecodedFrame:
+        decoded = []
+        for row, err in zip(bits, errors):
+            data = bits_to_bytes(row)
+            payload, crc = data[:-_CRC_BYTES], data[-_CRC_BYTES:]
+            crc_ok = zlib.crc32(payload).to_bytes(_CRC_BYTES, "little") == crc
+            decoded.append(DecodedFrame(
+                payload=payload if crc_ok else None,
+                crc_ok=crc_ok,
+                mcs=mcs,
+                length=length,
+                evm_db=float(10 * np.log10(max(err, 1e-12))),
+            ))
+        return decoded if symbols.ndim == 3 else decoded[0]
+
+    def decode(self, symbols: np.ndarray, noise_var=0.05):
         """Decode a full frame: SIGNAL symbol followed by data symbols.
+
+        A ``(B, n_symbols, 48)`` stack of frames, with a scalar or one
+        ``noise_var`` per frame, returns one :class:`DecodedFrame` per
+        frame: all SIGNAL fields are decoded in one Viterbi call, then the
+        payloads in one call per announced (MCS, length).
 
         A corrupted SIGNAL field can mis-announce a length longer than the
         captured frame; a real receiver just drops such a frame, so that
         case returns a failed DecodedFrame rather than raising.
         """
         symbols = np.asarray(symbols, dtype=complex)
-        require(symbols.ndim == 2 and symbols.shape[0] >= 2, "frame too short")
-        parsed = self.decode_signal_field(symbols[0])
-        if parsed is None:
-            return DecodedFrame(payload=None, crc_ok=False, mcs=None)
-        mcs, length = parsed
-        try:
-            return self.decode_payload(symbols[1:], mcs, length, noise_var=noise_var)
-        except ValueError:
-            # announced length exceeds the capture: corrupted SIGNAL field
-            return DecodedFrame(payload=None, crc_ok=False, mcs=mcs, length=length)
+        require(
+            symbols.ndim in (2, 3) and symbols.shape[-2] >= 2, "frame too short"
+        )
+        frames = symbols.reshape((-1,) + symbols.shape[-2:])
+        noise = np.broadcast_to(np.asarray(noise_var, dtype=float), frames.shape[:1])
+        decoded: List[DecodedFrame] = [
+            DecodedFrame(payload=None, crc_ok=False, mcs=None) for _ in frames
+        ]
+        groups: Dict[tuple, List[int]] = {}
+        for i, parsed in enumerate(self.decode_signal_field(frames[:, 0])):
+            if parsed is not None:
+                groups.setdefault(parsed, []).append(i)
+        for (mcs, length), members in groups.items():
+            try:
+                results = self.decode_payload(
+                    frames[members, 1:], mcs, length, noise_var=noise[members]
+                )
+            except ValueError:
+                # announced length exceeds the capture: corrupted SIGNAL field
+                results = [
+                    DecodedFrame(payload=None, crc_ok=False, mcs=mcs, length=length)
+                    for _ in members
+                ]
+            for i, result in zip(members, results):
+                decoded[i] = result
+        return decoded if symbols.ndim == 3 else decoded[0]

@@ -65,29 +65,36 @@ class Modulation:
         bits = (indices[:, None] >> shifts[None, :]) & 1
         return bits.astype(np.uint8).ravel()
 
-    def demodulate_soft(self, symbols: np.ndarray, noise_var: float = 1.0) -> np.ndarray:
+    def demodulate_soft(self, symbols: np.ndarray, noise_var=1.0) -> np.ndarray:
         """Max-log LLRs for each bit; positive LLR means bit 0 more likely.
 
         Args:
-            symbols: Received (equalized) constellation points.
-            noise_var: Post-equalization noise variance used to scale LLRs.
+            symbols: Received (equalized) constellation points, ``(n,)`` or
+                a batch of streams ``(B, n)``.
+            noise_var: Post-equalization noise variance used to scale LLRs;
+                a scalar, or one value per stream of a batch.
 
         Returns:
-            Array of LLRs, ``bits_per_symbol`` per input symbol.
+            Array of LLRs, ``bits_per_symbol`` per input symbol:
+            ``(n * bits_per_symbol,)`` or ``(B, n * bits_per_symbol)``.
         """
-        symbols = np.asarray(symbols, dtype=complex).ravel()
-        noise_var = max(float(noise_var), 1e-12)
-        sq_dist = np.abs(symbols[:, None] - self.points[None, :]) ** 2
+        symbols = np.asarray(symbols, dtype=complex)
+        if symbols.ndim != 2:
+            symbols = symbols.ravel()
+        noise_var = np.maximum(np.asarray(noise_var, dtype=float), 1e-12)
+        if symbols.ndim == 2:
+            noise_var = np.broadcast_to(noise_var, symbols.shape[:1])[:, None]
+        sq_dist = np.abs(symbols[..., None] - self.points) ** 2
         n_points = len(self.points)
         shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
         labels = (np.arange(n_points)[:, None] >> shifts[None, :]) & 1
-        llrs = np.empty((symbols.size, self.bits_per_symbol))
+        llrs = np.empty(symbols.shape + (self.bits_per_symbol,))
         for b in range(self.bits_per_symbol):
             mask0 = labels[:, b] == 0
-            d0 = sq_dist[:, mask0].min(axis=1)
-            d1 = sq_dist[:, ~mask0].min(axis=1)
-            llrs[:, b] = (d1 - d0) / noise_var
-        return llrs.ravel()
+            d0 = sq_dist[..., mask0].min(axis=-1)
+            d1 = sq_dist[..., ~mask0].min(axis=-1)
+            llrs[..., b] = (d1 - d0) / noise_var
+        return llrs.reshape(symbols.shape[:-1] + (-1,))
 
     @property
     def min_distance(self) -> float:

@@ -17,7 +17,7 @@ from repro.constants import FFT_SIZE, SYMBOL_LENGTH
 from repro.phy.cfo import apply_cfo, combine_cfo, estimate_cfo_coarse, estimate_cfo_fine
 from repro.phy.channel_est import average_channel_estimates, estimate_channel_lts
 from repro.phy.detection import detect_packet, ideal_lts_offset
-from repro.phy.frame import DecodedFrame, FrameConfig, PhyFrameDecoder
+from repro.phy.frame import DecodedFrame, FrameConfig, PhyFrameDecoder, PhyFrameEncoder
 from repro.phy.ofdm import OfdmDemodulator
 from repro.phy.preamble import lts_symbol_offsets, sync_header_length
 
@@ -44,7 +44,9 @@ class PacketSniffer:
     def __init__(self, sample_rate: float, threshold: float = 0.7):
         self.sample_rate = float(sample_rate)
         self.threshold = float(threshold)
-        self._decoder = PhyFrameDecoder(FrameConfig(sample_rate=sample_rate))
+        config = FrameConfig(sample_rate=sample_rate)
+        self._encoder = PhyFrameEncoder(config)
+        self._decoder = PhyFrameDecoder(config)
         self._demodulator = OfdmDemodulator()
 
     def _decode_at(self, capture: np.ndarray, header_start: int) -> Optional[SniffedPacket]:
@@ -80,11 +82,7 @@ class PacketSniffer:
                 decoded=DecodedFrame(payload=None, crc_ok=False, mcs=None),
             )
         mcs, length = parsed
-        from repro.phy.frame import PhyFrameEncoder
-
-        n_data = PhyFrameEncoder(
-            FrameConfig(sample_rate=fs)
-        ).n_payload_symbols(length, mcs)
+        n_data = self._encoder.n_payload_symbols(length, mcs)
         needed = data_start + (1 + n_data) * SYMBOL_LENGTH
         if rx.size < needed:
             return SniffedPacket(
@@ -92,18 +90,12 @@ class PacketSniffer:
                 cfo_hz=cfo,
                 decoded=DecodedFrame(payload=None, crc_ok=False, mcs=mcs, length=length),
             )
-        symbols, pilot_snrs = [], []
-        for m in range(1, 1 + n_data):
-            s = data_start + m * SYMBOL_LENGTH
-            eq = self._demodulator.demodulate_symbol(
-                rx[s : s + SYMBOL_LENGTH], channel, symbol_index=m
-            )
-            symbols.append(eq.data)
-            pilot_snrs.append(eq.pilot_snr)
-        noise_var = float(np.mean(1.0 / np.maximum(pilot_snrs, 1e-6)))
-        decoded = self._decoder.decode_payload(
-            np.stack(symbols), mcs, length, noise_var=noise_var
+        samples = rx[data_start + SYMBOL_LENGTH : needed]
+        eq = self._demodulator.demodulate_symbol(
+            samples.reshape(n_data, SYMBOL_LENGTH), channel, symbol_index=1
         )
+        noise_var = float(np.mean(1.0 / np.maximum(eq.pilot_snr, 1e-6)))
+        decoded = self._decoder.decode_payload(eq.data, mcs, length, noise_var=noise_var)
         return SniffedPacket(
             sample_offset=header_start, cfo_hz=cfo, decoded=decoded
         )
@@ -128,11 +120,9 @@ class PacketSniffer:
                 break
             packets.append(packet)
             if packet.decoded.mcs is not None:
-                from repro.phy.frame import PhyFrameEncoder
-
-                n_data = PhyFrameEncoder(
-                    FrameConfig(sample_rate=self.sample_rate)
-                ).n_payload_symbols(packet.decoded.length, packet.decoded.mcs)
+                n_data = self._encoder.n_payload_symbols(
+                    packet.decoded.length, packet.decoded.mcs
+                )
                 cursor = header_start + sync_header_length() + (1 + n_data) * SYMBOL_LENGTH
             else:
                 cursor = header_start + sync_header_length()
