@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -195,7 +195,7 @@ class PhyFrameDecoder:
         mcs: Mcs,
         length: int,
         noise_var=0.05,
-    ):
+    ) -> Union[DecodedFrame, List[DecodedFrame]]:
         """Decode equalized (n_symbols, 48) data symbols to payload bytes.
 
         A ``(B, n_symbols, 48)`` stack of frames with the same MCS and
@@ -244,7 +244,9 @@ class PhyFrameDecoder:
             ))
         return decoded if symbols.ndim == 3 else decoded[0]
 
-    def decode(self, symbols: np.ndarray, noise_var=0.05):
+    def decode(
+        self, symbols: np.ndarray, noise_var=0.05
+    ) -> Union[DecodedFrame, List[DecodedFrame]]:
         """Decode a full frame: SIGNAL symbol followed by data symbols.
 
         A ``(B, n_symbols, 48)`` stack of frames, with a scalar or one

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.constants import (
     CP_LENGTH,
@@ -275,9 +275,13 @@ class TestBatchedOracles:
         bits = np.array(bits, dtype=np.uint8)
         assert np.array_equal(_code.encode(bits), loop_encode(_code, bits))
 
-    @pytest.mark.parametrize("seed", range(1, 128))
-    def test_keystream_equals_lfsr_for_every_seed(self, seed):
-        for n_bits in (0, 1, 126, 127, 128, 3 * 127 + 5, 1000):
+    @given(n_bits=st.integers(0, 5 * 127))
+    @example(n_bits=0)
+    @example(n_bits=127)
+    @example(n_bits=128)
+    @settings(max_examples=15, deadline=None)
+    def test_keystream_equals_lfsr_for_every_seed(self, n_bits):
+        for seed in range(1, 128):
             assert np.array_equal(
                 Scrambler(seed).keystream(n_bits), loop_keystream(seed, n_bits)
             )
