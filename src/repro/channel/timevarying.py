@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import j0
 
 from repro.channel.models import LinkChannel
 from repro.constants import COHERENCE_TIME_S
 from repro.utils.rng import complex_normal, ensure_rng
+from repro.utils.special import j0
 from repro.utils.validation import require
 
 #: 2*pi*f_D*Tc at which Clarke correlation crosses 0.5 (J0(1.52) ~ 0.5).
