@@ -14,6 +14,7 @@ from repro.constants import (
     SYMBOL_LENGTH,
 )
 from repro.phy.coding import BlockInterleaver, ConvolutionalCode, Puncturer, Scrambler
+from repro.phy.coding.puncturing import PUNCTURE_PATTERNS
 from repro.phy.frame import bits_to_bytes, bytes_to_bits
 from repro.phy.modulation import get_modulation
 from repro.phy.ofdm import OfdmDemodulator, OfdmModulator
@@ -318,3 +319,37 @@ class TestBatchedOracles:
             )
             assert np.array_equal(single.data, data)
             assert (single.common_phase, single.pilot_snr) == (phase, snr)
+
+
+class TestCyclicMasks:
+    """Puncturing masks and scrambler keystreams equal ``np.resize`` of one
+    period, the construction they replaced."""
+
+    @given(
+        rate=st.sampled_from(sorted(PUNCTURE_PATTERNS)),
+        n_coded=st.integers(0, 4096),
+        seed=st.integers(0, 2**31),
+    )
+    @example(rate=(3, 4), n_coded=0, seed=0)
+    @example(rate=(3, 4), n_coded=4096, seed=0)
+    @example(rate=(2, 3), n_coded=4095, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_puncture_depuncture_equal_resized_pattern(self, rate, n_coded, seed):
+        mask = np.resize(PUNCTURE_PATTERNS[rate], n_coded)
+        rng = np.random.default_rng(seed)
+        coded = rng.integers(0, 2, n_coded).astype(np.uint8)
+        p = Puncturer(rate)
+        assert np.array_equal(p.puncture(coded), coded[mask])
+        values = rng.normal(size=(2, int(mask.sum())))
+        expected = np.zeros((2, n_coded))
+        expected[:, mask] = values
+        assert np.array_equal(p.depuncture(values, n_coded), expected)
+        assert np.array_equal(p.depuncture(values[0], n_coded), expected[0])
+
+    @given(seed=st.integers(1, 127), n_bits=st.integers(0, 4096))
+    @example(seed=1, n_bits=0)
+    @example(seed=127, n_bits=4096)
+    @settings(max_examples=60, deadline=None)
+    def test_keystream_equals_resized_period(self, seed, n_bits):
+        period = loop_keystream(seed, 127)
+        assert np.array_equal(Scrambler(seed).keystream(n_bits), np.resize(period, n_bits))
